@@ -314,7 +314,8 @@ let run_obs () =
      runtime assertion above is measuring functions the analyzer no longer
      proves anything about. *)
   let contract =
-    Vs_net.Net.zero_alloc_contract @ Vs_obs.Hdr.zero_alloc_contract
+    Vs_net.Net.zero_alloc_contract @ Vs_sim.Sim.zero_alloc_contract
+    @ Vs_obs.Hdr.zero_alloc_contract
   in
   if contract = [] then begin
     print_endline
@@ -804,16 +805,13 @@ let micro_tests () =
     Test.make ~name:"e9/eview-fingerprint"
       (Staged.stage (fun () -> ignore (E_view.to_string sample_eview)));
     (* E10: the simulator's event-queue hot path. *)
-    Test.make ~name:"e10/heap-1k-push-pop"
+    Test.make ~name:"e10/sim-queue-1k-at-step"
       (Staged.stage (fun () ->
-           let h = Vs_util.Heap.create ~cmp:Int.compare in
+           let sim = Vs_sim.Sim.create () in
            for i = 999 downto 0 do
-             Vs_util.Heap.push h i
+             ignore (Vs_sim.Sim.at sim (float_of_int i) ignore)
            done;
-           let rec drain () =
-             match Vs_util.Heap.pop h with Some _ -> drain () | None -> ()
-           in
-           drain ()));
+           ignore (Vs_sim.Sim.run sim)));
   ]
 
 let run_micro () =

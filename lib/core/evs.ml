@@ -19,6 +19,12 @@ type 'ann evs_ann = {
       (* the reporter's whole enriched view at flush time: the rebuild
          takes, per prior-view group, the freshest snapshot, which subsumes
          the tags of members that acked before a late in-flight merge *)
+  ea_ctl_next : int;
+      (* one past the last merge request the reporter had delivered in the
+         snapshot's view, as a position on that view's coordinator stream
+         (where every totally ordered request is relayed): the requests of
+         the synchronisation set at or beyond it reached the reporter only
+         after the snapshot was taken *)
   ea_app : 'ann option;
 }
 
@@ -74,6 +80,7 @@ type ('a, 'ann) t = {
   mutable ep : ('a wire, 'ann evs_ann) Endpoint.t option;
   mutable eview : E_view.t;
   mutable app_ann : 'ann option;
+  mutable ctl_next : int;  (* [ea_ctl_next] of the current snapshot *)
   mutable s_echanges : int;
   mutable s_rejected : int;
 }
@@ -101,7 +108,7 @@ let my_svset t =
    that whenever a flush happens we report the current snapshot. *)
 let refresh_annotation t =
   Endpoint.set_annotation (get_ep t)
-    (Some { ea_snapshot = t.eview; ea_app = t.app_ann })
+    (Some { ea_snapshot = t.eview; ea_ctl_next = t.ctl_next; ea_app = t.app_ann })
 
 let log_eview t ~cause =
   Sim.emit t.sim
@@ -120,18 +127,56 @@ let cause_label = function
   | Svset_merged id -> "svset-merge " ^ E_view.Svset_id.to_string id
   | Subview_merged id -> "subview-merge " ^ E_view.Subview_id.to_string id
 
-let handle_view t (ev : 'ann evs_ann Endpoint.view_event) =
+let apply_ctl eview = function
+  | Svset_merge_req ids ->
+      Result.map
+        (fun (ev, id) -> (ev, Svset_merged id))
+        (E_view.apply_svset_merge eview ids)
+  | Subview_merge_req ids ->
+      Result.map
+        (fun (ev, id) -> (ev, Subview_merged id))
+        (E_view.apply_subview_merge eview ids)
+
+(* What a reporter's snapshot became by the end of its prior view.  A flush
+   ack is taken before the Install's synchronisation deliveries, and those
+   can include merge requests the reporter had not delivered yet: it
+   applied them, in total order, just before installing the new view.
+   Replaying the same requests of its group's synchronisation set onto the
+   snapshot gives every member the same final e-view of every group, so
+   the rebuild neither splits a subview merged during the flush nor lets
+   members disagree about it. *)
+let settle_snapshot sync (a : _ evs_ann) =
+  let snap = a.ea_snapshot in
+  let prior = snap.E_view.view in
+  match List.find_opt (fun (vid, _) -> View.Id.equal vid prior.View.id) sync with
+  | None -> snap
+  | Some (_, ds) ->
+      let coord = View.coordinator prior in
+      List.fold_left
+        (fun eview (d : _ Wire.data) ->
+          match d.Wire.body with
+          | Wire.Relay { user = Ctl ctl; _ }
+            when Proc_id.equal d.Wire.sender coord && d.Wire.seq >= a.ea_ctl_next
+            -> (
+              match apply_ctl eview ctl with
+              | Ok (eview, _) -> eview
+              | Error `No_effect -> eview)
+          | Wire.User _ | Wire.Relay _ | Wire.Causal _ -> eview)
+        snap ds
+
+let handle_view t (ev : ('a wire, 'ann evs_ann) Endpoint.view_event) =
   let raw =
     List.map
       (fun (p, ann) ->
         ( p,
           {
-            E_view.sr_snapshot = Option.map (fun a -> a.ea_snapshot) ann;
+            E_view.sr_snapshot = Option.map (settle_snapshot ev.Endpoint.sync) ann;
             sr_prior = List.assoc_opt p ev.Endpoint.priors;
           } ))
       ev.Endpoint.annotations
   in
   t.eview <- E_view.rebuild_from_snapshots ev.Endpoint.view raw;
+  t.ctl_next <- 0;
   refresh_annotation t;
   log_eview t ~cause:(cause_label View_change);
   let annotations =
@@ -144,25 +189,17 @@ let handle_view t (ev : 'ann evs_ann Endpoint.view_event) =
     { eview = t.eview; cause = View_change; annotations; priors = ev.Endpoint.priors }
 
 let handle_ctl t ctl =
-  let result =
-    match ctl with
-    | Svset_merge_req ids ->
-        Result.map
-          (fun (ev, id) -> (ev, Svset_merged id))
-          (E_view.apply_svset_merge t.eview ids)
-    | Subview_merge_req ids ->
-        Result.map
-          (fun (ev, id) -> (ev, Subview_merged id))
-          (E_view.apply_subview_merge t.eview ids)
-  in
-  match result with
+  t.ctl_next <- Endpoint.delivered_prefix (get_ep t) (View.coordinator (view t));
+  match apply_ctl t.eview ctl with
   | Ok (eview, cause) ->
       t.eview <- eview;
       t.s_echanges <- t.s_echanges + 1;
       refresh_annotation t;
       log_eview t ~cause:(cause_label cause);
       t.callbacks.on_eview { eview; cause; annotations = []; priors = [] }
-  | Error `No_effect -> t.s_rejected <- t.s_rejected + 1
+  | Error `No_effect ->
+      t.s_rejected <- t.s_rejected + 1;
+      refresh_annotation t
 
 let create sim net ~me:me_ ~universe ~config ~callbacks =
   let t =
@@ -172,6 +209,7 @@ let create sim net ~me:me_ ~universe ~config ~callbacks =
       ep = None;
       eview = E_view.initial me_;
       app_ann = None;
+      ctl_next = 0;
       s_echanges = 0;
       s_rejected = 0;
     }

@@ -9,7 +9,10 @@
 type t
 
 type handle
-(** A scheduled event; can be cancelled before it fires. *)
+(** A scheduled event; can be cancelled before it fires.  Pending handles
+    sit in the engine's own binary heap, ordered by (time, scheduling
+    sequence); push and pop allocate nothing, and a fired or cancelled
+    handle's slot is cleared so its thunk is not retained. *)
 
 val create :
   ?seed:int64 -> ?obs:Vs_obs.Recorder.t -> ?series:Vs_obs.Series.t -> unit -> t
@@ -84,3 +87,9 @@ val run : ?until:float -> ?max_events:int -> t -> stop_reason
 
 val step : t -> bool
 (** Process a single event; [false] if none pending. *)
+
+val zero_alloc_contract : string list
+(** The event queue's push, pop and ordering as "path:function" names, each
+    carrying the alloc-free annotation that vslint rule A1 proves (rule B1
+    pins this list to the annotated set), exported next to
+    {!Vs_net.Net.zero_alloc_contract} by the bench. *)

@@ -47,14 +47,15 @@ let default_config =
     pipeline_depth = 1;
   }
 
-type 'ann view_event = {
+type ('a, 'ann) view_event = {
   view : View.t;
   annotations : (Proc_id.t * 'ann option) list;
   priors : (Proc_id.t * View.Id.t) list;
+  sync : (View.Id.t * 'a Wire.data list) list;
 }
 
 type ('a, 'ann) callbacks = {
-  on_view : 'ann view_event -> unit;
+  on_view : ('a, 'ann) view_event -> unit;
   on_message : sender:Proc_id.t -> 'a -> unit;
 }
 
@@ -136,6 +137,9 @@ type ('a, 'ann) t = {
   (* coordinator side: per-origin relay sequencing *)
   to_streams : (Proc_id.t, int ref * (int, 'a) Hashtbl.t) Hashtbl.t;
   streams : (Proc_id.t, 'a stream) Hashtbl.t;
+  mutable causal_seen : bool;
+      (* a Causal message has reached the streams in the current view:
+         until the next install, every arrival drains all streams *)
   pending_out : (order * 'a) Queue.t;  (* queued while flushing *)
   (* reliable control plane: unacked Propose/Flush_ack/Install/To_request *)
   mutable ctl_rid : int;
@@ -195,6 +199,9 @@ let me t = t.me
 let view t = t.view
 
 let is_blocked t = match t.phase with Flushing _ -> true | Active -> false
+
+let delivered_prefix t sender =
+  match Hashtbl.find_opt t.streams sender with Some s -> s.next | None -> 0
 
 let is_alive t = t.alive
 
@@ -406,9 +413,28 @@ let causally_ready t (d : 'a Wire.data) =
           | None -> n <= 0)
         deps
 
+(* Deliver [s]'s run of contiguous, causally ready buffered messages;
+   [true] if it delivered any. *)
+let drain_stream t s =
+  let delivered = ref false and continue_stream = ref true in
+  while !continue_stream do
+    match Hashtbl.find_opt s.buffer s.next with
+    | Some d when causally_ready t d ->
+        Hashtbl.remove s.buffer s.next;
+        s.next <- s.next + 1;
+        deliver_user t d;
+        delivered := true
+    | Some _ | None -> continue_stream := false
+  done;
+  !delivered
+
 (* Deliver buffered messages in FIFO order per stream while contiguous and
    causally ready; a delivery can unblock other streams, so iterate to a
-   fixpoint. *)
+   fixpoint.  Only needed once Causal traffic is in the view: without it,
+   an arrival on one stream can unblock nothing but that stream's own run
+   ({!drain_stream}) — every earlier drain left no stream with a
+   deliverable head, the only way back to [Active] resets the streams, and
+   FIFO and relayed messages wait on nothing but their own stream. *)
 let drain_all t =
   let progress = ref true in
   while !progress do
@@ -418,17 +444,7 @@ let drain_all t =
        on_message callback is free to multicast (which must not observe a
        table mid-iteration). *)
     List.iter
-      (fun (_, s) ->
-        let continue_stream = ref true in
-        while !continue_stream do
-          match Hashtbl.find_opt s.buffer s.next with
-          | Some d when causally_ready t d ->
-              Hashtbl.remove s.buffer s.next;
-              s.next <- s.next + 1;
-              deliver_user t d;
-              progress := true
-          | Some _ | None -> continue_stream := false
-        done)
+      (fun (_, s) -> if drain_stream t s then progress := true)
       (Hashtblx.sorted_bindings ~cmp:Proc_id.compare t.streams)
   done
 
@@ -922,6 +938,7 @@ and handle_install t ~pvid ~view:new_view ~sync ~anns ~priors =
       t.send_seq <- 0;
       t.to_seq <- 0;
       Hashtbl.reset t.streams;
+      t.causal_seen <- false;
       Hashtbl.reset t.to_streams;
       Hashtbl.reset t.stable_vectors;
       t.nack_peers <-
@@ -941,7 +958,7 @@ and handle_install t ~pvid ~view:new_view ~sync ~anns ~priors =
              sync = !delivered_now;
            });
       flush_pending t;
-      t.callbacks.on_view { view = new_view; annotations = anns; priors };
+      t.callbacks.on_view { view = new_view; annotations = anns; priors; sync };
       (* Messages of the new view that raced ahead of the Install. *)
       let stashed = t.stash in
       t.stash <- [];
@@ -955,30 +972,55 @@ and handle_install t ~pvid ~view:new_view ~sync ~anns ~priors =
 
 (* ---------- data path ---------- *)
 
-and handle_data t (d : 'a Wire.data) =
-  if not (View.Id.equal d.Wire.vid t.view.View.id) then begin
-    match t.phase with
-    | Flushing pvid when View.Id.equal d.Wire.vid pvid ->
-        (* Sent in the view we are about to install; replayed after. *)
-        t.stash <- d :: t.stash
-    | Flushing _ | Active -> t.s_stale <- t.s_stale + 1
-  end
-  else begin
-    let s = stream_for t d.Wire.sender in
-    if d.Wire.seq < s.next || Hashtbl.mem s.log d.Wire.seq then ()
-      (* duplicate: already delivered or logged *)
-    else begin
-      Hashtbl.replace s.log d.Wire.seq d;
-      Hashtbl.replace s.buffer d.Wire.seq d;
-      match t.phase with
-      | Active ->
-          drain_all t;
-          if Hashtbl.length s.buffer > 0 then arm_nack t d.Wire.sender s
-      | Flushing _ -> ()
-      (* logged only: it will be re-reported if the flush restarts, and
-         synchronised by the install otherwise *)
-    end
-  end
+(* A data message is a batch of one: a [Wire.Batch] is one sender's
+   consecutive data messages of one view, so both take this path.  Apply
+   the stale/stash decision once, log every new element, deliver in-order
+   elements directly, and then drain once.  Without Causal traffic in the
+   view that drain is just this stream's contiguous run ({!drain_stream});
+   with it, every element is buffered and [drain_all] runs its sorted
+   passes to the fixpoint, so cross-stream delivery order stays canonical. *)
+and handle_batch t (ds : 'a Wire.data list) =
+  match ds with
+  | [] -> ()
+  | first :: _ ->
+      if not (View.Id.equal first.Wire.vid t.view.View.id) then begin
+        match t.phase with
+        | Flushing pvid when View.Id.equal first.Wire.vid pvid ->
+            (* Sent in the view we are about to install; replayed after. *)
+            List.iter (fun d -> t.stash <- d :: t.stash) ds
+        | Flushing _ | Active -> t.s_stale <- t.s_stale + List.length ds
+      end
+      else begin
+        let s = stream_for t first.Wire.sender in
+        let active = match t.phase with Active -> true | Flushing _ -> false in
+        let ingested = ref false in
+        List.iter
+          (fun (d : 'a Wire.data) ->
+            (match d.Wire.body with
+            | Wire.Causal _ -> t.causal_seen <- true
+            | Wire.User _ | Wire.Relay _ -> ());
+            if d.Wire.seq < s.next || Hashtbl.mem s.log d.Wire.seq then ()
+              (* duplicate: already delivered or logged *)
+            else begin
+              Hashtbl.replace s.log d.Wire.seq d;
+              ingested := true;
+              if active && d.Wire.seq = s.next && not t.causal_seen then begin
+                (* In order: deliver without the buffer round-trip. *)
+                s.next <- s.next + 1;
+                deliver_user t d
+              end
+              else Hashtbl.replace s.buffer d.Wire.seq d
+            end)
+          ds;
+        (* Flushing: logged only — it will be re-reported if the flush
+           restarts, and synchronised by the install otherwise. *)
+        if active && !ingested then begin
+          if t.causal_seen then drain_all t else ignore (drain_stream t s : bool);
+          if Hashtbl.length s.buffer > 0 then arm_nack t first.Wire.sender s
+        end
+      end
+
+and handle_data t d = handle_batch t [ d ]
 
 and handle_to_request t ~orig ~rseq ~user =
   match t.phase with
@@ -1100,57 +1142,6 @@ let handle_nack t ~src ~vid ~sender ~missing =
         end
   end
 
-(* A batch is one sender's consecutive data messages of one view: apply the
-   stale/stash decision once, ingest every element into the stream, then
-   drain *once*.  The single drain is the receive-side win — unbatched, every
-   data message pays a full [drain_all] pass (a sorted snapshot of all
-   streams); batched, that cost is amortised over the whole round. *)
-let handle_batch t (ds : 'a Wire.data list) =
-  match ds with
-  | [] -> ()
-  | first :: _ ->
-      if not (View.Id.equal first.Wire.vid t.view.View.id) then begin
-        match t.phase with
-        | Flushing pvid when View.Id.equal first.Wire.vid pvid ->
-            (* Sent in the view we are about to install; replayed after. *)
-            List.iter (fun d -> t.stash <- d :: t.stash) ds
-        | Flushing _ | Active -> t.s_stale <- t.s_stale + List.length ds
-      end
-      else begin
-        let s = stream_for t first.Wire.sender in
-        let active = match t.phase with Active -> true | Flushing _ -> false in
-        let ingested = ref false in
-        List.iter
-          (fun (d : 'a Wire.data) ->
-            if active && d.Wire.seq = s.next && causally_ready t d then begin
-              (* In-order fast path — the common case for a batch, since a
-                 round is one sender's consecutive sequences: log and
-                 deliver directly, skipping the buffer round-trip.  [seq =
-                 next] cannot be a duplicate (delivery bumps [next] past
-                 it), and delivering here is exactly what [drain_all] would
-                 do first for this stream, so the order is unchanged. *)
-              Hashtbl.replace s.log d.Wire.seq d;
-              s.next <- s.next + 1;
-              deliver_user t d;
-              ingested := true
-            end
-            else if d.Wire.seq < s.next || Hashtbl.mem s.log d.Wire.seq then ()
-              (* duplicate: already delivered or logged *)
-            else begin
-              Hashtbl.replace s.log d.Wire.seq d;
-              Hashtbl.replace s.buffer d.Wire.seq d;
-              ingested := true
-            end)
-          ds;
-        if active && !ingested then begin
-          (* One residual drain per batch: fast-path deliveries may have
-             unblocked buffered messages (this stream's backlog, or causal
-             waiters on other streams). *)
-          drain_all t;
-          if Hashtbl.length s.buffer > 0 then arm_nack t first.Wire.sender s
-        end
-      end
-
 (* ---------- wiring ---------- *)
 
 let rec handle_payload t ~src payload =
@@ -1226,6 +1217,7 @@ let create sim net ~me:me_ ~universe ~config ~callbacks =
       to_seq = 0;
       to_streams = Hashtbl.create 8;
       streams = Hashtbl.create 16;
+      causal_seen = false;
       pending_out = Queue.create ();
       ctl_rid = 0;
       ctl_pending = Hashtbl.create 16;
@@ -1293,6 +1285,7 @@ let create sim net ~me:me_ ~universe ~config ~callbacks =
                view = t.view;
                annotations = [ (me_, t.ann) ];
                priors = [ (me_, t.view.View.id) ];
+               sync = [];
              }
          end));
   t

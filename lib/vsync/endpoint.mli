@@ -75,16 +75,24 @@ type config = {
 
 val default_config : config
 
-type 'ann view_event = {
+type ('a, 'ann) view_event = {
   view : View.t;
   annotations : (Proc_id.t * 'ann option) list;
       (** each member's annotation at flush time *)
   priors : (Proc_id.t * View.Id.t) list;
       (** the view each member came from *)
+  sync : (View.Id.t * 'a Wire.data list) list;
+      (** per prior view, the union of the data messages its survivors
+          reported in the flush, in canonical (sender, seq) order — the
+          Install's synchronisation sets, identical at every member.  A
+          member's own group's set is what it has just sync-delivered
+          (less what it had delivered already); the other groups' sets let
+          a layer above replay what those members delivered after their
+          annotation was taken.  Empty for the initial singleton view. *)
 }
 
 type ('a, 'ann) callbacks = {
-  on_view : 'ann view_event -> unit;
+  on_view : ('a, 'ann) view_event -> unit;
   on_message : sender:Proc_id.t -> 'a -> unit;
 }
 
@@ -109,6 +117,11 @@ val view : ('a, 'ann) t -> View.t
 
 val is_blocked : ('a, 'ann) t -> bool
 (** [true] while a flush is in progress (multicasts are being queued). *)
+
+val delivered_prefix : ('a, 'ann) t -> Proc_id.t -> int
+(** How many of [sender]'s data messages of the current view this endpoint
+    has delivered: the next sequence number it expects on that stream.
+    Read inside [on_message], it is one past the message being delivered. *)
 
 val is_alive : ('a, 'ann) t -> bool
 

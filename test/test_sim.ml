@@ -193,6 +193,65 @@ let sim_order_property =
       in
       nondecreasing fired && List.length fired = List.length delays)
 
+(* The queue against a reference: random programs of [at] / [after] calls
+   on a coarse time grid (so ties are common), cancels of earlier handles,
+   partial runs, single steps, and events that schedule or cancel further
+   events when they fire.  Every event fires at or after the time it was
+   scheduled from, so the firing order must be exactly the events never
+   cancelled while pending, sorted by (time, scheduling sequence). *)
+type ev = { id : int; at : float; mutable cancelled : bool }
+
+let sim_queue_reference_property =
+  QCheck.Test.make ~name:"queue fires in sorted (time, seq) order" ~count:300
+    QCheck.(list (pair (int_bound 4) (int_bound 8)))
+    (fun ops ->
+      let sim = Sim.create () in
+      let evs = ref [] and handles = ref [||] and fired = ref [] in
+      let tick = 0.125 in
+      let rec schedule ~absolute k =
+        let id = Array.length !handles in
+        let delay = float_of_int k *. tick in
+        let e = { id; at = Sim.now sim +. delay; cancelled = false } in
+        let thunk () =
+          fired := e :: !fired;
+          (* Nested scheduling and cancelling, decided by the id. *)
+          if id < 300 && id mod 3 = 0 then schedule ~absolute:false (id mod 4);
+          if id mod 7 = 1 then cancel ((id * 5) mod Array.length !handles)
+        in
+        let h =
+          if absolute then Sim.at sim e.at thunk else Sim.after sim delay thunk
+        in
+        evs := e :: !evs;
+        handles := Array.append !handles [| (e, h) |]
+      and cancel i =
+        let e, h = !handles.(i) in
+        if not (List.memq e !fired) then e.cancelled <- true;
+        Sim.cancel h
+      in
+      List.iter
+        (fun (kind, b) ->
+          match kind with
+          | 0 -> schedule ~absolute:true b
+          | 1 -> schedule ~absolute:false b
+          | 2 ->
+              let n = Array.length !handles in
+              if n > 0 then cancel (b mod n)
+          | 3 -> ignore (Sim.run ~until:(Sim.now sim +. (float_of_int b *. 0.25)) sim)
+          | _ -> ignore (Sim.step sim))
+        ops;
+      ignore (Sim.run sim);
+      let expected =
+        List.filter (fun e -> not e.cancelled) !evs
+        |> List.sort (fun a b ->
+               let c = Float.compare a.at b.at in
+               if c <> 0 then c else Int.compare a.id b.id)
+        |> List.map (fun e -> e.id)
+      in
+      let got = List.rev_map (fun e -> e.id) !fired in
+      got = expected
+      && Sim.pending sim = 0
+      && Sim.events_processed sim = List.length expected)
+
 let () =
   Alcotest.run "vs_sim"
     [
@@ -214,5 +273,6 @@ let () =
           Alcotest.test_case "trace" `Quick test_trace;
           Alcotest.test_case "determinism" `Quick test_determinism;
           QCheck_alcotest.to_alcotest sim_order_property;
+          QCheck_alcotest.to_alcotest sim_queue_reference_property;
         ] );
     ]

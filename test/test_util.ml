@@ -1,8 +1,7 @@
-(* Unit and property tests for vs_util: PRNG, heap, sorted-set list
-   operations and vector clocks. *)
+(* Unit and property tests for vs_util: PRNG, sorted-set list operations
+   and vector clocks.  (The event queue's properties live in test_sim.) *)
 
 module Rng = Vs_util.Rng
-module Heap = Vs_util.Heap
 module Listx = Vs_util.Listx
 
 let check = Alcotest.check
@@ -81,77 +80,62 @@ let test_rng_pick_and_shuffle () =
   Alcotest.check_raises "pick of empty" (Invalid_argument "Rng.pick: empty list")
     (fun () -> ignore (Rng.pick r []))
 
-(* ---------- Heap ---------- *)
+(* Known answers: the first outputs of fixed streams, pinned so that any
+   change to the generator's state representation must keep every seeded
+   run (and hence every committed trace and golden) exactly as it was.
+   Floats are compared bit-for-bit. *)
+let rng_kat =
+  [
+    ( "seed 0",
+      (fun () -> Rng.create 0L),
+      [ -2152535657050944081L; 7960286522194355700L; 487617019471545679L;
+        -537132696929009172L; 1961750202426094747L; 6038094601263162090L;
+        3207296026000306913L; -4214222208109204676L ],
+      [ 0x1.c4415072f63b9p-1; 0x1.b9e279aa86e58p-2; 0x1.b117462002500p-6;
+        0x1.f1177150e4990p-1; 0x1.b39896a51a870p-4; 0x1.4f2e7c31d1fa8p-2;
+        0x1.6414d5f0fa298p-3; 0x1.8b082675922d5p-1 ] );
+    ( "seed 1",
+      (fun () -> Rng.create 1L),
+      [ -7995527694508729151L; -4689498862643123097L; -534904783426661026L;
+        8196980753821780235L; 8195237237126968761L; -4373826470845021568L;
+        -2262517385565684571L; -8797857673641491083L ],
+      [ 0x1.22145bd91204bp-1; 0x1.7dd71b42cb1ddp-1; 0x1.f12745ddf664ap-1;
+        0x1.c7061a43b90b2p-2; 0x1.c6ed53634406cp-2; 0x1.869a17ff202a0p-1;
+        0x1.c133d8d9ae6c7p-1; 0x1.0bcf761e244f0p-1 ] );
+    ( "seed 42",
+      (fun () -> Rng.create 42L),
+      [ -4767286540954276203L; 2949826092126892291L; 5139283748462763858L;
+        6349198060258255764L; 701532786141963250L; -2430762948046562554L;
+        4028864712777624925L; -3677692746721775708L ],
+      [ 0x1.7bae644c5fd6dp-1; 0x1.477f199d93378p-3; 0x1.1d499d5c4c3e6p-2;
+        0x1.607387fc392b8p-2; 0x1.378b0b4489040p-5; 0x1.bc8863f47901bp-1;
+        0x1.bf4b38e229bb4p-3; 0x1.99ec6bdd3d3c5p-1 ] );
+    ( "split of seed 42",
+      (fun () -> Rng.split (Rng.create 42L)),
+      [ 6332618229526065668L; -816328817471504299L; 8971565426155258802L;
+        1242533817266198696L; -5959852680200513735L; 1245346008178237623L;
+        3603600226484403572L; -4893543810735773810L ],
+      [ 0x1.5f87eae99441cp-2; 0x1.e957a287fd648p-1; 0x1.f2059ce304a40p-2;
+        0x1.13e5dec6f8fd8p-4; 0x1.5a94b320c5fa2p-1; 0x1.1485b98a7ea20p-4;
+        0x1.90147a81a0f5cp-3; 0x1.782d47a99890cp-1 ] );
+  ]
 
-let test_heap_basic () =
-  let h = Heap.create ~cmp:compare in
-  check Alcotest.bool "empty" true (Heap.is_empty h);
-  List.iter (Heap.push h) [ 5; 1; 4; 1; 3 ];
-  check Alcotest.int "length" 5 (Heap.length h);
-  check (Alcotest.option Alcotest.int) "peek min" (Some 1) (Heap.peek h);
-  let drained = List.init 5 (fun _ -> Option.get (Heap.pop h)) in
-  check (Alcotest.list Alcotest.int) "sorted drain" [ 1; 1; 3; 4; 5 ] drained;
-  check (Alcotest.option Alcotest.int) "pop empty" None (Heap.pop h)
-
-let test_heap_clear () =
-  let h = Heap.create ~cmp:compare in
-  List.iter (Heap.push h) [ 3; 2; 1 ];
-  Heap.clear h;
-  check Alcotest.bool "cleared" true (Heap.is_empty h);
-  Heap.push h 9;
-  check (Alcotest.option Alcotest.int) "usable after clear" (Some 9) (Heap.pop h)
-
-let test_heap_grows () =
-  let h = Heap.create ~cmp:compare in
-  for i = 1000 downto 1 do
-    Heap.push h i
-  done;
-  check Alcotest.int "all pushed" 1000 (Heap.length h);
-  check (Alcotest.option Alcotest.int) "min of many" (Some 1) (Heap.pop h)
-
-let heap_sort_property =
-  QCheck.Test.make ~name:"heap drain equals list sort" ~count:200
-    QCheck.(list int)
-    (fun xs ->
-      let h = Heap.create ~cmp:compare in
-      List.iter (Heap.push h) xs;
-      let rec drain acc =
-        match Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc)
-      in
-      drain [] = List.sort compare xs)
-
-let heap_interleaved_property =
-  QCheck.Test.make ~name:"heap peek is minimum under interleaving" ~count:200
-    QCheck.(list (pair bool small_int))
-    (fun ops ->
-      let h = Heap.create ~cmp:compare in
-      let model = ref [] in
-      List.for_all
-        (fun (is_push, x) ->
-          if is_push then begin
-            Heap.push h x;
-            model := x :: !model;
-            true
-          end
-          else
-            match (Heap.pop h, !model) with
-            | None, [] -> true
-            | None, _ :: _ -> false
-            | Some _, [] -> false
-            | Some v, m ->
-                let min_m = List.fold_left min (List.hd m) m in
-                let removed = ref false in
-                model :=
-                  List.filter
-                    (fun y ->
-                      if y = min_m && not !removed then begin
-                        removed := true;
-                        false
-                      end
-                      else true)
-                    m;
-                v = min_m)
-        ops)
+let test_rng_known_answers () =
+  List.iter
+    (fun (name, make, ints, floats) ->
+      let r = make () in
+      check (Alcotest.list Alcotest.int64) (name ^ " int64") ints
+        (List.map (fun _ -> Rng.int64 r) ints);
+      let r = make () in
+      check (Alcotest.list Alcotest.int64) (name ^ " float bits")
+        (List.map Int64.bits_of_float floats)
+        (List.map (fun _ -> Int64.bits_of_float (Rng.float r)) floats))
+    rng_kat;
+  (* Splitting advances the parent by exactly one draw. *)
+  let parent = Rng.create 42L in
+  ignore (Rng.split parent);
+  check Alcotest.int64 "parent after split" 2949826092126892291L
+    (Rng.int64 parent)
 
 (* ---------- Listx ---------- *)
 
@@ -258,14 +242,7 @@ let () =
           Alcotest.test_case "bool bias" `Quick test_rng_bool_bias;
           Alcotest.test_case "exponential mean" `Quick test_rng_exponential_mean;
           Alcotest.test_case "pick and shuffle" `Quick test_rng_pick_and_shuffle;
-        ] );
-      ( "heap",
-        [
-          Alcotest.test_case "basic order" `Quick test_heap_basic;
-          Alcotest.test_case "clear" `Quick test_heap_clear;
-          Alcotest.test_case "growth" `Quick test_heap_grows;
-          qt heap_sort_property;
-          qt heap_interleaved_property;
+          Alcotest.test_case "known answers" `Quick test_rng_known_answers;
         ] );
       ( "listx",
         [
