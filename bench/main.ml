@@ -814,6 +814,55 @@ let micro_tests () =
            ignore (Vs_sim.Sim.run sim)));
   ]
 
+(* The analysis layer: the happened-before DAG built over one fixed Full
+   recording (a full-length seeded campaign), reported per recorded entry so
+   it compares with the per-campaign [causal.of_entries] span of perfbench. *)
+let causal_micro () =
+  let open Bechamel in
+  let recorder = Recorder.create ~level:Recorder.Full () in
+  let spec = Vs_check.Campaign.generate ~seed:3 ~nodes:4 ~quick:false () in
+  let (_ : Vs_check.Campaign.outcome) = Vs_check.Campaign.run ~obs:recorder spec in
+  let entries = Recorder.entries recorder in
+  let n = float_of_int (List.length entries) in
+  let build () = ignore (Vs_obs.Causal.of_entries entries) in
+  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) () in
+  let test = Test.make ~name:"obs/causal-of-entries" (Staged.stage build) in
+  let raw = Benchmark.all cfg Toolkit.Instance.[ monotonic_clock ] test in
+  let ols =
+    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
+  in
+  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
+  let reps = 5 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to reps do
+    build ()
+  done;
+  let words = (Gc.minor_words () -. w0) /. (float_of_int reps *. n) in
+  let table =
+    Table.create
+      ~title:
+        (Printf.sprintf
+           "analysis micro: Causal.of_entries over one Full recording (%d \
+            entries)"
+           (List.length entries))
+      ~columns:[ "benchmark"; "ns/entry"; "words/entry"; "r^2" ]
+  in
+  List.iter
+    (fun (name, result) ->
+      let per_entry =
+        match Analyze.OLS.estimates result with
+        | Some [ est ] -> Printf.sprintf "%.1f" (est /. n)
+        | Some _ | None -> "-"
+      in
+      let r2 =
+        match Analyze.OLS.r_square result with
+        | Some r -> Printf.sprintf "%.4f" r
+        | None -> "-"
+      in
+      Table.add_row table [ name; per_entry; Printf.sprintf "%.1f" words; r2 ])
+    (Vs_util.Hashtblx.sorted_bindings ~cmp:String.compare results);
+  Table.print table
+
 let run_micro () =
   let open Bechamel in
   print_endline "### Bechamel micro-benchmarks (one per experiment table)\n";
@@ -850,7 +899,8 @@ let run_micro () =
       in
       Table.add_row table [ name; estimate; r2 ])
     rows;
-  Table.print table
+  Table.print table;
+  causal_micro ()
 
 let () =
   let args =

@@ -239,9 +239,13 @@ let of_dag dag =
   let nodes = Causal.nodes dag in
   let n = Array.length nodes in
   (* Stall-identical anchors, plus the node ids the walks start from. *)
-  let proposed : (string, float) Hashtbl.t = Hashtbl.create 16 in
-  let self_flush : (string, float * int) Hashtbl.t = Hashtbl.create 32 in
-  let last_flush : (string, float * Event.proc) Hashtbl.t = Hashtbl.create 16 in
+  let proposed : float Event.Vid_tbl.t = Event.Vid_tbl.create 16 in
+  let self_flush : (float * int) Event.Proc_vid_tbl.t =
+    Event.Proc_vid_tbl.create 32
+  in
+  let last_flush : (float * Event.proc) Event.Vid_tbl.t =
+    Event.Vid_tbl.create 16
+  in
   (* per-op endpoints: first Send node, last Recv node *)
   let op_first : (Event.msg, float * int) Hashtbl.t = Hashtbl.create 256 in
   let op_last : (Event.msg, float * int) Hashtbl.t = Hashtbl.create 256 in
@@ -255,28 +259,25 @@ let of_dag dag =
     let time = nodes.(i).Causal.time in
     match nodes.(i).Causal.event with
     | Event.Propose { vid; _ } ->
-        let vk = Event.vid_to_string vid in
-        if not (Hashtbl.mem proposed vk) then Hashtbl.replace proposed vk time
+        if not (Event.Vid_tbl.mem proposed vid) then
+          Event.Vid_tbl.replace proposed vid time
     | Event.Flush { proc; vid; _ } ->
-        let vk = Event.vid_to_string vid in
-        let sk = Event.proc_to_string proc ^ "|" ^ vk in
-        if not (Hashtbl.mem self_flush sk) then
-          Hashtbl.replace self_flush sk (time, i);
-        Hashtbl.replace last_flush vk (time, proc)
+        let sk = (proc, vid) in
+        if not (Event.Proc_vid_tbl.mem self_flush sk) then
+          Event.Proc_vid_tbl.replace self_flush sk (time, i);
+        Event.Vid_tbl.replace last_flush vid (time, proc)
     | Event.Install { proc; vid; _ } -> (
-        let vk = Event.vid_to_string vid in
-        match Hashtbl.find_opt proposed vk with
+        match Event.Vid_tbl.find_opt proposed vid with
         | None -> () (* truncated recording: no propose retained *)
         | Some t_prop ->
             let t_install = time in
-            let sk = Event.proc_to_string proc ^ "|" ^ vk in
             let t_self_raw, flush_node =
-              match Hashtbl.find_opt self_flush sk with
+              match Event.Proc_vid_tbl.find_opt self_flush (proc, vid) with
               | Some (t, j) -> (t, Some j)
               | None -> (t_prop, None)
             in
             let t_last_raw, last_proc =
-              match Hashtbl.find_opt last_flush vk with
+              match Event.Vid_tbl.find_opt last_flush vid with
               | Some (t, p) -> (max t t_self_raw, Some p)
               | None -> (t_self_raw, None)
             in

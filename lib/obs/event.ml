@@ -8,9 +8,9 @@ type proc = { node : int; inc : int }
 type vid = { epoch : int; proposer : proc }
 
 let proc_to_string p =
-  if p.inc < 0 then Printf.sprintf "n%d" p.node
-  else if p.inc = 0 then Printf.sprintf "p%d" p.node
-  else Printf.sprintf "p%d.%d" p.node p.inc
+  if p.inc < 0 then "n" ^ string_of_int p.node
+  else if p.inc = 0 then "p" ^ string_of_int p.node
+  else String.concat "" [ "p"; string_of_int p.node; "."; string_of_int p.inc ]
 
 let proc_of_string s =
   let len = String.length s in
@@ -32,7 +32,8 @@ let proc_of_string s =
     | _ -> None
 
 let vid_to_string v =
-  Printf.sprintf "v%d@%s" v.epoch (proc_to_string v.proposer)
+  String.concat ""
+    [ "v"; string_of_int v.epoch; "@"; proc_to_string v.proposer ]
 
 let vid_of_string s =
   let len = String.length s in
@@ -49,7 +50,7 @@ let vid_of_string s =
 
 type msg = { origin : proc; mseq : int }
 
-let msg_to_string m = Printf.sprintf "%s#%d" (proc_to_string m.origin) m.mseq
+let msg_to_string m = proc_to_string m.origin ^ "#" ^ string_of_int m.mseq
 
 let msg_of_string s =
   match String.index_opt s '#' with
@@ -75,6 +76,49 @@ let compare_msg a b =
   match compare_proc a.origin b.origin with
   | 0 -> Int.compare a.mseq b.mseq
   | c -> c
+
+let equal_proc a b = a.node = b.node && a.inc = b.inc
+
+let equal_vid a b = a.epoch = b.epoch && equal_proc a.proposer b.proposer
+
+let equal_msg a b = a.mseq = b.mseq && equal_proc a.origin b.origin
+
+(* Integer hashes over the fields: no allocation, no traversal of a
+   rendered string.  Hashtbl.Make indexes by the low bits, and the odd
+   multipliers keep every field's low bits in them. *)
+let hash_proc p = (p.node * 65599) + p.inc
+
+let hash_vid v = (hash_proc v.proposer * 65599) + v.epoch
+
+let hash_msg m = (hash_proc m.origin * 65599) + m.mseq
+
+module Proc_tbl = Hashtbl.Make (struct
+  type t = proc
+
+  let equal = equal_proc
+  let hash = hash_proc
+end)
+
+module Vid_tbl = Hashtbl.Make (struct
+  type t = vid
+
+  let equal = equal_vid
+  let hash = hash_vid
+end)
+
+module Proc_vid_tbl = Hashtbl.Make (struct
+  type t = proc * vid
+
+  let equal (p, v) (q, w) = equal_proc p q && equal_vid v w
+  let hash (p, v) = (hash_vid v * 65599) + hash_proc p
+end)
+
+module Proc_str_tbl = Hashtbl.Make (struct
+  type t = proc * string
+
+  let equal (p, a) (q, b) = equal_proc p q && String.equal a b
+  let hash (p, a) = (Hashtbl.hash a * 65599) + hash_proc p
+end)
 
 type t =
   | Send of {

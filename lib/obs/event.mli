@@ -42,6 +42,31 @@ val compare_vid : vid -> vid -> int
 
 val compare_msg : msg -> msg -> int
 
+val equal_proc : proc -> proc -> bool
+
+val equal_vid : vid -> vid -> bool
+
+val equal_msg : msg -> msg -> bool
+
+val hash_proc : proc -> int
+(** Allocation-free integer hashes over the identity's fields, consistent
+    with the [equal_*] functions. *)
+
+val hash_msg : msg -> int
+
+(** Tables keyed on the typed identities — the matching keys of the
+    [Causal], [Stall], [Critpath] and [Metrics] folds.  None of them is
+    enumerated; output order comes from the typed comparators above. *)
+
+module Proc_tbl : Hashtbl.S with type key = proc
+
+module Vid_tbl : Hashtbl.S with type key = vid
+
+module Proc_vid_tbl : Hashtbl.S with type key = proc * vid
+
+module Proc_str_tbl : Hashtbl.S with type key = proc * string
+(** Keyed on a process and a constant name, e.g. a task kind. *)
+
 type t =
   | Send of {
       src : proc;

@@ -70,20 +70,20 @@ type deriv = {
   (* current app mode per node, for the messages-per-mode split *)
   node_mode : (int, string) Hashtbl.t;
   (* first propose time per view id, for install latency *)
-  proposed : (string, float) Hashtbl.t;
+  proposed : float Event.Vid_tbl.t;
   (* first flush-ack per (proc, view id), for flush stall *)
-  flushed : (string, float) Hashtbl.t;
+  flushed : float Event.Proc_vid_tbl.t;
   (* open tasks per (proc, task kind) *)
-  tasks : (string, float) Hashtbl.t;
+  tasks : float Event.Proc_str_tbl.t;
 }
 
 let deriv_create () =
   {
     metrics = create ();
     node_mode = Hashtbl.create 8;
-    proposed = Hashtbl.create 16;
-    flushed = Hashtbl.create 32;
-    tasks = Hashtbl.create 8;
+    proposed = Event.Vid_tbl.create 16;
+    flushed = Event.Proc_vid_tbl.create 32;
+    tasks = Event.Proc_str_tbl.create 8;
   }
 
 let deriv_metrics d = d.metrics
@@ -111,24 +111,23 @@ let step d ~time (event : Event.t) =
   | Event.Unsuspect _ -> incr m "fd.unsuspects"
   | Event.Propose { vid; _ } ->
       incr m "gms.proposes";
-      let key = Event.vid_to_string vid in
-      if not (Hashtbl.mem d.proposed key) then
-        Hashtbl.replace d.proposed key time
+      if not (Event.Vid_tbl.mem d.proposed vid) then
+        Event.Vid_tbl.replace d.proposed vid time
   | Event.Flush { proc; vid; _ } ->
       incr m "gms.flushes";
-      let key = Event.proc_to_string proc ^ "|" ^ Event.vid_to_string vid in
-      if not (Hashtbl.mem d.flushed key) then Hashtbl.replace d.flushed key time
+      let key = (proc, vid) in
+      if not (Event.Proc_vid_tbl.mem d.flushed key) then
+        Event.Proc_vid_tbl.replace d.flushed key time
   | Event.Install { proc; vid; sync; _ } ->
       incr m "gms.installs";
       observe m "view.sync-deliveries" (float_of_int sync);
-      let vkey = Event.vid_to_string vid in
-      (match Hashtbl.find_opt d.proposed vkey with
+      (match Event.Vid_tbl.find_opt d.proposed vid with
       | Some t0 -> observe m "view.install-latency" (time -. t0)
       | None -> ());
-      let fkey = Event.proc_to_string proc ^ "|" ^ vkey in
-      (match Hashtbl.find_opt d.flushed fkey with
+      let fkey = (proc, vid) in
+      (match Event.Proc_vid_tbl.find_opt d.flushed fkey with
       | Some t0 ->
-          Hashtbl.remove d.flushed fkey;
+          Event.Proc_vid_tbl.remove d.flushed fkey;
           observe m "view.flush-stall" (time -. t0)
       | None -> ())
   | Event.Eview _ -> incr m "evs.eviews"
@@ -137,13 +136,14 @@ let step d ~time (event : Event.t) =
       Hashtbl.replace d.node_mode proc.node into_mode
   | Event.Settle _ -> incr m "app.settles"
   | Event.Task_start { proc; task; _ } ->
-      let key = Event.proc_to_string proc ^ "|" ^ task in
-      if not (Hashtbl.mem d.tasks key) then Hashtbl.replace d.tasks key time
+      let key = (proc, task) in
+      if not (Event.Proc_str_tbl.mem d.tasks key) then
+        Event.Proc_str_tbl.replace d.tasks key time
   | Event.Task_done { proc; task; _ } ->
-      let key = Event.proc_to_string proc ^ "|" ^ task in
-      (match Hashtbl.find_opt d.tasks key with
+      let key = (proc, task) in
+      (match Event.Proc_str_tbl.find_opt d.tasks key with
       | Some t0 ->
-          Hashtbl.remove d.tasks key;
+          Event.Proc_str_tbl.remove d.tasks key;
           observe m ("task." ^ task) (time -. t0)
       | None -> ())
   | Event.Crash _ -> incr m "faults.crashes"

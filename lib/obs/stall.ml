@@ -29,40 +29,36 @@ let total a = a.a_propose_wait +. a.a_flush_wait +. a.a_stability_wait
 
 let of_entries (entries : Recorder.entry list) =
   (* first propose time per vid *)
-  let proposed : (string, float) Hashtbl.t = Hashtbl.create 16 in
+  let proposed : float Event.Vid_tbl.t = Event.Vid_tbl.create 16 in
   (* this member's first flush-ack per (proc, vid) *)
-  let self_flush : (string, float) Hashtbl.t = Hashtbl.create 32 in
+  let self_flush : float Event.Proc_vid_tbl.t = Event.Proc_vid_tbl.create 32 in
   (* newest flush-ack seen so far per vid — at an Install event this is by
      construction the last flush at or before the install *)
-  let last_flush : (string, float) Hashtbl.t = Hashtbl.create 16 in
+  let last_flush : float Event.Vid_tbl.t = Event.Vid_tbl.create 16 in
   let acc = ref [] in
   List.iter
     (fun (e : Recorder.entry) ->
       match e.event with
       | Event.Propose { vid; _ } ->
-          let key = Event.vid_to_string vid in
-          if not (Hashtbl.mem proposed key) then
-            Hashtbl.replace proposed key e.time
+          if not (Event.Vid_tbl.mem proposed vid) then
+            Event.Vid_tbl.replace proposed vid e.time
       | Event.Flush { proc; vid; _ } ->
-          let vkey = Event.vid_to_string vid in
-          let skey = Event.proc_to_string proc ^ "|" ^ vkey in
-          if not (Hashtbl.mem self_flush skey) then
-            Hashtbl.replace self_flush skey e.time;
-          Hashtbl.replace last_flush vkey e.time
+          let skey = (proc, vid) in
+          if not (Event.Proc_vid_tbl.mem self_flush skey) then
+            Event.Proc_vid_tbl.replace self_flush skey e.time;
+          Event.Vid_tbl.replace last_flush vid e.time
       | Event.Install { proc; vid; _ } -> (
-          let vkey = Event.vid_to_string vid in
-          match Hashtbl.find_opt proposed vkey with
+          match Event.Vid_tbl.find_opt proposed vid with
           | None -> ()  (* truncated recording: no propose retained *)
           | Some t_prop ->
               let t_install = e.time in
-              let skey = Event.proc_to_string proc ^ "|" ^ vkey in
               let t_self =
-                match Hashtbl.find_opt self_flush skey with
+                match Event.Proc_vid_tbl.find_opt self_flush (proc, vid) with
                 | Some t -> t
                 | None -> t_prop  (* no own flush: joined mid-change *)
               in
               let t_last =
-                match Hashtbl.find_opt last_flush vkey with
+                match Event.Vid_tbl.find_opt last_flush vid with
                 | Some t -> max t t_self
                 | None -> t_self
               in

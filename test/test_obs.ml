@@ -363,6 +363,41 @@ let test_lineage_conservation_batched () =
 
 (* ---------- canonical JSON ---------- *)
 
+(* ---------- identity renderings ---------- *)
+
+(* The renderings feed Export, Explain and Rundiff, so their spelling is
+   pinned (also by @trace-schema and @explain-corpus) and each parses back. *)
+let test_identity_round_trip () =
+  let opt_eq eq a b =
+    match (a, b) with Some x, Some y -> eq x y | None, None -> true | _ -> false
+  in
+  List.iter
+    (fun (pr, text) ->
+      check Alcotest.string ("proc " ^ text) text (Event.proc_to_string pr);
+      check Alcotest.bool ("proc round-trip " ^ text) true
+        (opt_eq Event.equal_proc (Some pr)
+           (Event.proc_of_string (Event.proc_to_string pr))))
+    [ (p 3 (-1), "n3"); (p 0 0, "p0"); (p 12 0, "p12"); (p 2 1, "p2.1");
+      (p 7 15, "p7.15") ];
+  List.iter
+    (fun (vd, text) ->
+      check Alcotest.string ("vid " ^ text) text (Event.vid_to_string vd);
+      check Alcotest.bool ("vid round-trip " ^ text) true
+        (opt_eq Event.equal_vid (Some vd)
+           (Event.vid_of_string (Event.vid_to_string vd))))
+    [ (v 0 0, "v0@p0"); (v 4 2, "v4@p2");
+      ({ Event.epoch = 11; proposer = p 2 3 }, "v11@p2.3");
+      ({ Event.epoch = 1; proposer = p 5 (-1) }, "v1@n5") ];
+  List.iter
+    (fun (m, text) ->
+      check Alcotest.string ("msg " ^ text) text (Event.msg_to_string m);
+      check Alcotest.bool ("msg round-trip " ^ text) true
+        (opt_eq Event.equal_msg (Some m)
+           (Event.msg_of_string (Event.msg_to_string m))))
+    [ ({ Event.origin = p 0 0; mseq = 3 }, "p0#3");
+      ({ Event.origin = p 4 2; mseq = 0 }, "p4.2#0");
+      ({ Event.origin = p 1 (-1); mseq = 17 }, "n1#17") ]
+
 let test_json_canonical () =
   List.iter
     (fun (txt, expect) ->
@@ -430,6 +465,8 @@ let () =
           Alcotest.test_case "conservation (batched wire)" `Quick
             test_lineage_conservation_batched;
         ] );
+      ( "identities",
+        [ Alcotest.test_case "round-trip" `Quick test_identity_round_trip ] );
       ( "json", [ Alcotest.test_case "canonical" `Quick test_json_canonical ] );
       ( "trace-shim", [ Alcotest.test_case "compat" `Quick test_trace_shim ] );
     ]

@@ -113,6 +113,252 @@ let test_dag_invariants () =
         (st.Causal.c_message_edges > 0))
     seeds
 
+(* --- typed matching against the string-keyed reference model ------------ *)
+
+(* The DAG matcher as it stood when every key was a rendered string, kept
+   verbatim as the model the typed [Causal.of_entries] must agree with edge
+   for edge: same preds lists in the same order, same orphans, same stats. *)
+module Oracle = struct
+  let actors (ev : Event.t) =
+    match ev with
+    | Event.Send { src; _ } | Event.Dup { src; _ } -> [ src ]
+    | Event.Recv { dst; _ } -> [ dst ]
+    | Event.Drop { src; reason; _ } ->
+        if reason = "src-dead" || reason = "partition" || reason = "loss" then
+          [ src ]
+        else []
+    | Event.Retransmit { proc; _ }
+    | Event.Backoff { proc; _ }
+    | Event.Suspect { proc; _ }
+    | Event.Unsuspect { proc; _ }
+    | Event.Propose { proc; _ }
+    | Event.Flush { proc; _ }
+    | Event.Install { proc; _ }
+    | Event.Eview { proc; _ }
+    | Event.Mode_change { proc; _ }
+    | Event.Settle { proc; _ }
+    | Event.Task_start { proc; _ }
+    | Event.Task_done { proc; _ }
+    | Event.Crash { proc }
+    | Event.Corrupt { proc; _ } ->
+        [ proc ]
+    | Event.Partition _ | Event.Heal | Event.Quarantine _ | Event.Note _ -> []
+
+  let copy_key ~kind ~(src : Event.proc) ~dst_node ~(msg : Event.msg option) =
+    let id = match msg with Some m -> Event.msg_to_string m | None -> "-" in
+    String.concat "|"
+      [ kind; Event.proc_to_string src; string_of_int dst_node; id ]
+
+  let of_entries (entries : Recorder.entry list) =
+    let arr = Array.of_list entries in
+    let n = Array.length arr in
+    let g_preds = Array.make n [] in
+    let p_edges = ref 0 and m_edges = ref 0 and b_edges = ref 0 in
+    let add_edge kind src dst =
+      g_preds.(dst) <- (src, kind) :: g_preds.(dst);
+      match kind with
+      | Causal.Program -> incr p_edges
+      | Causal.Message -> incr m_edges
+      | Causal.Barrier -> incr b_edges
+    in
+    let last_of : (string, int) Hashtbl.t = Hashtbl.create 64 in
+    let pending : (string, int Queue.t) Hashtbl.t = Hashtbl.create 256 in
+    let propose_of : (string, int) Hashtbl.t = Hashtbl.create 16 in
+    let flushes_of : (string, int list) Hashtbl.t = Hashtbl.create 16 in
+    let rev_orphans = ref [] in
+    let push_copy key i =
+      let q =
+        match Hashtbl.find_opt pending key with
+        | Some q -> q
+        | None ->
+            let q = Queue.create () in
+            Hashtbl.replace pending key q;
+            q
+      in
+      Queue.push i q
+    in
+    let pop_copy key =
+      match Hashtbl.find_opt pending key with
+      | Some q when not (Queue.is_empty q) -> Some (Queue.pop q)
+      | Some _ | None -> None
+    in
+    Array.iteri
+      (fun i (e : Recorder.entry) ->
+        List.iter
+          (fun p ->
+            let k = Event.proc_to_string p in
+            (match Hashtbl.find_opt last_of k with
+            | Some j -> add_edge Causal.Program j i
+            | None -> ());
+            Hashtbl.replace last_of k i)
+          (actors e.Recorder.event);
+        match e.Recorder.event with
+        | Event.Send { src; dst; kind; msg; _ }
+        | Event.Dup { src; dst; kind; msg } ->
+            push_copy (copy_key ~kind ~src ~dst_node:dst.Event.node ~msg) i
+        | Event.Recv { src; dst; kind; msg } -> (
+            match
+              pop_copy (copy_key ~kind ~src ~dst_node:dst.Event.node ~msg)
+            with
+            | Some j -> add_edge Causal.Message j i
+            | None -> rev_orphans := i :: !rev_orphans)
+        | Event.Drop { src; dst; kind; reason; msg } ->
+            if reason = "partition-inflight" || reason = "dst-dead" then (
+              match
+                pop_copy (copy_key ~kind ~src ~dst_node:dst.Event.node ~msg)
+              with
+              | Some j -> add_edge Causal.Message j i
+              | None -> ())
+        | Event.Propose { vid; _ } ->
+            let vk = Event.vid_to_string vid in
+            if not (Hashtbl.mem propose_of vk) then
+              Hashtbl.replace propose_of vk i
+        | Event.Flush { vid; _ } ->
+            let vk = Event.vid_to_string vid in
+            (match Hashtbl.find_opt propose_of vk with
+            | Some j -> add_edge Causal.Barrier j i
+            | None -> ());
+            let prev =
+              match Hashtbl.find_opt flushes_of vk with
+              | Some l -> l
+              | None -> []
+            in
+            Hashtbl.replace flushes_of vk (i :: prev)
+        | Event.Install { vid; _ } ->
+            let vk = Event.vid_to_string vid in
+            (match Hashtbl.find_opt propose_of vk with
+            | Some j -> add_edge Causal.Barrier j i
+            | None -> ());
+            List.iter
+              (fun j -> add_edge Causal.Barrier j i)
+              (match Hashtbl.find_opt flushes_of vk with
+              | Some l -> List.rev l
+              | None -> [])
+        | _ -> ())
+      arr;
+    ( g_preds,
+      List.rev !rev_orphans,
+      {
+        Causal.c_nodes = n;
+        c_program_edges = !p_edges;
+        c_message_edges = !m_edges;
+        c_barrier_edges = !b_edges;
+        c_orphan_recvs = List.length !rev_orphans;
+      } )
+end
+
+(* Synthetic Full-level streams shaped like the recorder's: wire copies put
+   on the wire by [Send] (some to a node-addressed [n<k>] destination) and
+   [Dup], consumed by a [Recv] at a resolved incarnation or by an
+   arrival-time [Drop]; send-time drops that never had a copy; [msg = None]
+   control traffic; one (origin, seq) on several kinds and destinations;
+   barrier events over a few view ids; environment events.  A random prefix
+   is then cut off, so receives whose send fell outside the window become
+   orphans, as in a bounded recorder. *)
+let gen_stream : Recorder.entry list QCheck.Gen.t =
+ fun st ->
+  let int n = Random.State.int st n in
+  let pick l = List.nth l (int (List.length l)) in
+  (* few processes and identities, so keys differing in one field coexist *)
+  let proc () = { Event.node = int 3; inc = int 2 } in
+  let kinds = [ "data"; "relay"; "ack"; "batch" ] in
+  let msg () =
+    if int 3 = 0 then None
+    else Some { Event.origin = { Event.node = int 2; inc = 0 }; mseq = int 3 }
+  in
+  let vid () =
+    { Event.epoch = int 3; proposer = { Event.node = int 2; inc = int 2 } }
+  in
+  let dst () = if int 4 = 0 then { Event.node = int 3; inc = -1 } else proc () in
+  (* in-flight copies, newest first: (src, dst, kind, msg) *)
+  let flight = ref [] in
+  let take () =
+    match !flight with
+    | [] -> None
+    | l ->
+        let k = int (List.length l) in
+        flight := List.filteri (fun i _ -> i <> k) l;
+        Some (List.nth l k)
+  in
+  (* a node-addressed copy is received by whichever incarnation is live *)
+  let resolve (d : Event.proc) =
+    if d.Event.inc < 0 then { d with Event.inc = int 2 } else d
+  in
+  let time = ref 0. in
+  let len = 1 + int 150 in
+  let events =
+    List.init len (fun _ ->
+        time := !time +. (float_of_int (int 3) *. 0.001);
+        let ev =
+          match int 14 with
+          | 0 | 1 | 2 ->
+              let src, dst, kind, msg =
+                match !flight with
+                | (src, d, k, msg) :: _ when int 2 = 0 ->
+                    (* the same identity on another kind or destination *)
+                    if int 2 = 0 then (src, d, pick kinds, msg)
+                    else (src, dst (), k, msg)
+                | _ -> (proc (), dst (), pick kinds, msg ())
+              in
+              flight := (src, dst, kind, msg) :: !flight;
+              Event.Send { src; dst; kind; bytes = 8; msg }
+          | 3 -> (
+              match !flight with
+              | [] -> Event.Heal
+              | l ->
+                  let ((src, dst, kind, msg) as c) = pick l in
+                  flight := c :: !flight;
+                  Event.Dup { src; dst; kind; msg })
+          | 4 | 5 | 6 -> (
+              match take () with
+              | Some (src, dst, kind, msg) ->
+                  Event.Recv { src; dst = resolve dst; kind; msg }
+              | None ->
+                  Event.Recv
+                    { src = proc (); dst = proc (); kind = pick kinds; msg = msg () })
+          | 7 -> (
+              match take () with
+              | Some (src, dst, kind, msg) ->
+                  let reason = pick [ "partition-inflight"; "dst-dead" ] in
+                  Event.Drop { src; dst = resolve dst; kind; reason; msg }
+              | None -> Event.Crash { proc = proc () })
+          | 8 ->
+              (* send-time drops carry no copy; "dst-dead" is also the
+                 arrival-time reason, so a stray one consumes a copy *)
+              let reason = pick [ "src-dead"; "partition"; "loss"; "dst-dead" ] in
+              Event.Drop
+                { src = proc (); dst = dst (); kind = pick kinds; reason; msg = msg () }
+          | 9 -> Event.Propose { proc = proc (); vid = vid (); members = [] }
+          | 10 -> Event.Flush { proc = proc (); vid = vid (); seen = 0 }
+          | 11 ->
+              Event.Install { proc = proc (); vid = vid (); members = []; sync = 0 }
+          | 12 -> Event.Suspect { proc = proc (); peer = proc () }
+          | _ -> Event.Note { component = "test"; message = "n" }
+        in
+        { Recorder.time = !time; event = ev })
+  in
+  (* cut a prefix, as a bounded recorder does: receives whose send fell
+     outside the window become orphans *)
+  List.filteri (fun i _ -> i >= int (1 + (len / 3))) events
+
+let arb_stream =
+  QCheck.make gen_stream
+    ~print:(fun es ->
+      String.concat "\n"
+        (List.map (fun (e : Recorder.entry) -> Event.render e.Recorder.event) es))
+
+let prop_typed_matches_string_oracle =
+  QCheck.Test.make ~name:"typed keys match the string-keyed oracle" ~count:500
+    arb_stream (fun entries ->
+      let dag = Causal.of_entries entries in
+      let preds, orphans, stats = Oracle.of_entries entries in
+      Array.iteri
+        (fun i ps ->
+          if Causal.preds dag i <> ps then
+            QCheck.Test.fail_reportf "node %d: preds differ from the oracle" i)
+        preds;
+      Causal.orphans dag = orphans && Causal.stats dag = stats)
+
 (* --- critical-path decomposition (satellite: sums and Stall agreement) --- *)
 
 let test_critpath_sums_to_install_latency () =
@@ -275,7 +521,10 @@ let () =
             test_remove_sink_is_exact;
         ] );
       ( "causal-dag",
-        [ Alcotest.test_case "invariants" `Slow test_dag_invariants ] );
+        [
+          Alcotest.test_case "invariants" `Slow test_dag_invariants;
+          QCheck_alcotest.to_alcotest prop_typed_matches_string_oracle;
+        ] );
       ( "critical-path",
         [
           Alcotest.test_case "sums to install latency" `Slow
