@@ -863,6 +863,102 @@ let causal_micro () =
     (Vs_util.Hashtblx.sorted_bindings ~cmp:String.compare results);
   Table.print table
 
+(* The background control plane, one micro per handler, in steady state:
+   a heartbeat from a peer the detector already lists (the reachable set
+   does not change), and a stability-gossip report in a settled 5-member
+   view with 5 streams (no floor moves).  ns/op by Bechamel, words/op by
+   Gc.minor_words over a fixed number of calls. *)
+let control_plane_micro () =
+  let open Bechamel in
+  let module Sim = Vs_sim.Sim in
+  let module Net = Vs_net.Net in
+  let module Endpoint = Vs_vsync.Endpoint in
+  let n = 5 in
+  let peers = Array.init (n - 1) (fun i -> p (i + 1)) in
+  let peer i = peers.(i mod (n - 1)) in
+  (* A detector that has heard from every peer at the current instant. *)
+  let fd =
+    Vs_fd.Fd.create (Sim.create ~seed:41L ()) ~me:(p 0)
+      ~universe:(List.init n Fun.id) ~config:Vs_fd.Fd.default_config
+      ~send_heartbeat:(fun ~dst_node:_ -> ())
+      ~on_change:ignore
+  in
+  for i = 0 to n - 2 do
+    Vs_fd.Fd.heartbeat_received fd ~from:(peer i)
+  done;
+  let hb = ref 0 in
+  let heartbeat () =
+    incr hb;
+    Vs_fd.Fd.heartbeat_received fd ~from:(peer !hb)
+  in
+  (* A settled 5-member view in which every member has multicast. *)
+  let sim = Sim.create ~seed:42L () in
+  let net = Net.create sim Net.default_config in
+  let universe = List.init n Fun.id in
+  let eps =
+    List.map
+      (fun node ->
+        Endpoint.create sim net ~me:(p node) ~universe
+          ~config:Endpoint.default_config
+          ~callbacks:
+            { Endpoint.on_view = ignore; on_message = (fun ~sender:_ _ -> ()) })
+      universe
+  in
+  ignore (Sim.run ~until:1.5 sim);
+  List.iter (fun ep -> for i = 1 to 3 do Endpoint.multicast ep i done) eps;
+  ignore (Sim.run ~until:2.5 sim);
+  let ep =
+    match eps with
+    | ep :: _ when List.length (Endpoint.view ep).View.members = n -> ep
+    | _ -> failwith "control-plane micro: the 5-member view did not form"
+  in
+  let members = (Endpoint.view ep).View.members in
+  let vector = List.map (fun q -> (q, Endpoint.delivered_prefix ep q)) members in
+  let rp = ref 0 in
+  let report () =
+    incr rp;
+    Endpoint.stable_report_received ep ~src:(peer !rp) ~vector
+  in
+  let measure name f =
+    let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.2) () in
+    let raw =
+      Benchmark.all cfg Toolkit.Instance.[ monotonic_clock ]
+        (Test.make ~name (Staged.stage f))
+    in
+    let ols =
+      Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
+    in
+    let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
+    let calls = 10_000 in
+    let w0 = Gc.minor_words () in
+    for _ = 1 to calls do
+      f ()
+    done;
+    let words = (Gc.minor_words () -. w0) /. float_of_int calls in
+    List.map
+      (fun (name, result) ->
+        let ns =
+          match Analyze.OLS.estimates result with
+          | Some [ est ] -> Printf.sprintf "%.1f" est
+          | Some _ | None -> "-"
+        in
+        let r2 =
+          match Analyze.OLS.r_square result with
+          | Some r -> Printf.sprintf "%.4f" r
+          | None -> "-"
+        in
+        [ name; ns; Printf.sprintf "%.1f" words; r2 ])
+      (Vs_util.Hashtblx.sorted_bindings ~cmp:String.compare results)
+  in
+  let table =
+    Table.create ~title:"control-plane micros (steady state, 5 processes)"
+      ~columns:[ "benchmark"; "ns/op"; "words/op"; "r^2" ]
+  in
+  List.iter (Table.add_row table)
+    (measure "fd/heartbeat-received" heartbeat
+    @ measure "vsync/stable-report" report);
+  Table.print table
+
 let run_micro () =
   let open Bechamel in
   print_endline "### Bechamel micro-benchmarks (one per experiment table)\n";
@@ -900,6 +996,7 @@ let run_micro () =
       Table.add_row table [ name; estimate; r2 ])
     rows;
   Table.print table;
+  control_plane_micro ();
   causal_micro ()
 
 let () =

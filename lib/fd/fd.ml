@@ -1,6 +1,5 @@
 module Sim = Vs_sim.Sim
 module Proc_id = Vs_net.Proc_id
-module Hashtblx = Vs_util.Hashtblx
 
 type config = { period : float; timeout : float }
 
@@ -13,19 +12,42 @@ type t = {
   config : config;
   send_heartbeat : dst_node:int -> unit;
   on_change : Proc_id.t list -> unit;
-  last_heard : (Proc_id.t, float) Hashtbl.t;
+  last_heard : float Proc_id.Tbl.t;
   mutable current : Proc_id.t list;
   mutable stopped : bool;
+  mutable tick : unit -> unit;
+      (* [tick t], built once: the heartbeat timer re-arms with it *)
 }
 
 let compute_reachable t =
   let now = Sim.now t.sim in
   let fresh =
-    Hashtblx.sorted_bindings ~cmp:Proc_id.compare t.last_heard
+    Proc_id.Tbl.sorted_bindings t.last_heard
     |> List.filter_map (fun (p, heard) ->
            if now -. heard < t.config.timeout then Some p else None)
   in
   Proc_id.sort (t.me :: fresh)
+
+(* The shortcut that keeps the steady state allocation-free.  [current] is
+   [me] plus every peer that was fresh at the last refresh, and every
+   change to [last_heard] (a heartbeat, a forget) refreshes at once — so a
+   peer outside [current] was stale or absent then, and time only moves
+   forward: it is stale now too.  The fresh set therefore still equals
+   [current] exactly when every peer in [current] is still fresh (and, for
+   a heartbeat, its sender is already in [current]).  Only when this says
+   no is the set rebuilt and sorted. *)
+let rec all_fresh t ~now = function
+  | [] -> true
+  | p :: rest ->
+      (Proc_id.equal p t.me
+      ||
+      (* vslint: allow D3 — Not_found is the absent case, matched right here *)
+      match Proc_id.Tbl.find t.last_heard p with
+      | heard -> now -. heard < t.config.timeout
+      | exception Not_found -> false)
+      && all_fresh t ~now rest
+
+let rec mem p = function [] -> false | q :: rest -> Proc_id.equal p q || mem p rest
 
 let refresh t =
   if not t.stopped then begin
@@ -51,14 +73,17 @@ let refresh t =
     end
   end
 
-let rec tick t () =
+let rec heartbeat_all t = function
+  | [] -> ()
+  | node :: rest ->
+      if node <> t.me.Proc_id.node then t.send_heartbeat ~dst_node:node;
+      heartbeat_all t rest
+
+let tick t () =
   if not t.stopped then begin
-    List.iter
-      (fun node ->
-        if node <> t.me.Proc_id.node then t.send_heartbeat ~dst_node:node)
-      t.universe;
-    refresh t;
-    ignore (Sim.after t.sim t.config.period (tick t))
+    heartbeat_all t t.universe;
+    if not (all_fresh t ~now:(Sim.now t.sim) t.current) then refresh t;
+    ignore (Sim.after t.sim t.config.period t.tick)
   end
 
 let create sim ~me ~universe ~config ~send_heartbeat ~on_change =
@@ -72,25 +97,28 @@ let create sim ~me ~universe ~config ~send_heartbeat ~on_change =
       config;
       send_heartbeat;
       on_change;
-      last_heard = Hashtbl.create 16;
+      last_heard = Proc_id.Tbl.create 16;
       current = [ me ];
       stopped = false;
+      tick = ignore;
     }
   in
+  t.tick <- tick t;
   (* First tick goes through the event queue so the caller finishes wiring
      up before anything fires. *)
-  ignore (Sim.after sim 0. (tick t));
+  ignore (Sim.after sim 0. t.tick);
   t
 
 let heartbeat_received t ~from =
   if (not t.stopped) && not (Proc_id.equal from t.me) then begin
-    Hashtbl.replace t.last_heard from (Sim.now t.sim);
-    refresh t
+    let now = Sim.now t.sim in
+    Proc_id.Tbl.replace t.last_heard from now;
+    if not (mem from t.current && all_fresh t ~now t.current) then refresh t
   end
 
 let forget t p =
-  if Hashtbl.mem t.last_heard p then begin
-    Hashtbl.remove t.last_heard p;
+  if Proc_id.Tbl.mem t.last_heard p then begin
+    Proc_id.Tbl.remove t.last_heard p;
     refresh t
   end
 

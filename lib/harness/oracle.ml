@@ -40,8 +40,8 @@ let details vs = List.map (fun v -> v.v_detail) vs
 
 type t = {
   sends : (msg_id, [ `Fifo | `Total ]) Hashtbl.t;
-  deliveries : (Proc_id.t, (View.Id.t * msg_id * float) list ref) Hashtbl.t;
-  installs : (Proc_id.t, (View.t * View.Id.t * float) list ref) Hashtbl.t;
+  deliveries : (View.Id.t * msg_id * float) list ref Proc_id.Tbl.t;
+  installs : (View.t * View.Id.t * float) list ref Proc_id.Tbl.t;
   mutable n_deliveries : int;
   mutable n_installs : int;
   mutable corruptions : (Proc_id.t * string * float) list;  (* newest first *)
@@ -50,19 +50,19 @@ type t = {
 let create () =
   {
     sends = Hashtbl.create 256;
-    deliveries = Hashtbl.create 64;
-    installs = Hashtbl.create 64;
+    deliveries = Proc_id.Tbl.create 64;
+    installs = Proc_id.Tbl.create 64;
     n_deliveries = 0;
     n_installs = 0;
     corruptions = [];
   }
 
 let bucket tbl key =
-  match Hashtbl.find_opt tbl key with
+  match Proc_id.Tbl.find_opt tbl key with
   | Some r -> r
   | None ->
       let r = ref [] in
-      Hashtbl.add tbl key r;
+      Proc_id.Tbl.add tbl key r;
       r
 
 let record_send t ?(order = `Fifo) msg_id = Hashtbl.replace t.sends msg_id order
@@ -84,18 +84,17 @@ let corruptions t = List.rev t.corruptions
 
 let procs t =
   let all =
-    Hashtblx.sorted_keys ~cmp:Proc_id.compare t.deliveries
-    @ Hashtblx.sorted_keys ~cmp:Proc_id.compare t.installs
+    Proc_id.Tbl.sorted_keys t.deliveries @ Proc_id.Tbl.sorted_keys t.installs
   in
   Proc_id.sort all
 
 let deliveries_of t ~proc =
-  match Hashtbl.find_opt t.deliveries proc with
+  match Proc_id.Tbl.find_opt t.deliveries proc with
   | Some r -> List.rev_map (fun (vid, m, _) -> (vid, m)) !r
   | None -> []
 
 let installs_of t ~proc =
-  match Hashtbl.find_opt t.installs proc with
+  match Proc_id.Tbl.find_opt t.installs proc with
   | Some r -> List.rev_map (fun (v, prior, _) -> (v, prior)) !r
   | None -> []
 
@@ -104,11 +103,11 @@ let total_deliveries t = t.n_deliveries
 let total_installs t = t.n_installs
 
 let install_counts t =
-  Hashtblx.sorted_bindings ~cmp:Proc_id.compare t.installs
+  Proc_id.Tbl.sorted_bindings t.installs
   |> List.map (fun (p, r) -> (p, List.length !r))
 
 let distinct_views t =
-  Hashtblx.sorted_bindings ~cmp:Proc_id.compare t.installs
+  Proc_id.Tbl.sorted_bindings t.installs
   |> List.concat_map (fun (_, r) -> List.map (fun (v, _, _) -> v.View.id) !r)
   |> Listx.sorted_set ~cmp:View.Id.compare
   |> List.length
@@ -258,15 +257,15 @@ let fifo_violations t =
   in
   List.concat_map
     (fun p ->
-      let last = Hashtbl.create 16 in
+      let last = Proc_id.Tbl.create 16 in
       List.concat_map
         (fun (vid, m) ->
           if not (is_fifo m) then []
           else begin
             let prev =
-              Option.value ~default:(-1) (Hashtbl.find_opt last m.m_sender)
+              Option.value ~default:(-1) (Proc_id.Tbl.find_opt last m.m_sender)
             in
-            Hashtbl.replace last m.m_sender m.m_index;
+            Proc_id.Tbl.replace last m.m_sender m.m_index;
             if m.m_index <= prev then
               [
                 {
@@ -430,7 +429,7 @@ let stabilization t ?(bound = 2) violations =
               | Some prev when prev <= time -> ()
               | _ -> Hashtbl.replace first_install v.View.id time)
             !r)
-        (Hashtblx.sorted_bindings ~cmp:Proc_id.compare t.installs);
+        (Proc_id.Tbl.sorted_bindings t.installs);
       (* Views born strictly after the last fault, in install order. *)
       let fresh =
         Hashtblx.sorted_bindings ~cmp:View.Id.compare first_install
@@ -462,7 +461,7 @@ let stabilization t ?(bound = 2) violations =
         let t0 =
           List.fold_left
             (fun acc p ->
-              match Hashtbl.find_opt t.deliveries p with
+              match Proc_id.Tbl.find_opt t.deliveries p with
               | None -> acc
               | Some r ->
                   List.fold_left

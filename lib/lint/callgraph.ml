@@ -128,6 +128,16 @@ let rec peel_params arity (e : Parsetree.expression) =
   | Pexp_newtype (_, body) -> peel_params arity body
   | _ -> (arity, [ e ])
 
+(* Expand the head of a dotted path through [aliases], which maps a
+   file-toplevel module alias to its path. *)
+let expand_aliases aliases parts =
+  match parts with
+  | head :: rest -> (
+      match List.assoc_opt head aliases with
+      | Some target -> target @ rest
+      | None -> parts)
+  | [] -> parts
+
 (* Walk one definition body, collecting calls, allocating constructs, and
    mutation.  [aliases] maps a file-toplevel module alias to its expanded
    path. *)
@@ -137,14 +147,7 @@ let collect_body ~aliases bodies =
     let line, col = loc_pos loc in
     allocs := { a_what = what; a_line = line; a_col = col } :: !allocs
   in
-  let expand parts =
-    match parts with
-    | head :: rest -> (
-        match List.assoc_opt head aliases with
-        | Some target -> target @ rest
-        | None -> parts)
-    | [] -> parts
-  in
+  let expand = expand_aliases aliases in
   let add_ref ~args lid loc =
     match strip_stdlib (expand (strip_stdlib (path_of_lident lid))) with
     | [] -> ()

@@ -72,17 +72,22 @@ let capability_file path =
   in
   has_sub "lib/sim/" || has_sub "util/rng.ml"
 
-(* Intrinsic effect of one external reference, by expanded dotted path. *)
-let leaf_effect (c : Callgraph.call) =
+(* Intrinsic effect of one external reference, by expanded dotted path.
+   [is_table quals] says whether [quals] names a typed hash-table module
+   (a [Hashtbl.Make] instance), whose enumeration is as unordered as the
+   polymorphic table's. *)
+let leaf_effect ~is_table (c : Callgraph.call) =
   match c.Callgraph.c_quals @ [ c.Callgraph.c_name ] with
   | "Random" :: _ -> Some Ambient_rand
   | [ "Sys"; "time" ] | [ "Unix"; "gettimeofday" ] | [ "Unix"; "time" ] ->
       Some Ambient_time
   | "Unix" :: _ -> Some Unix_io
-  | [ "Hashtbl"; ("iter" | "fold" | "to_seq" | "to_seq_keys" | "to_seq_values") ]
-    ->
-      Some Hash_order
-  | _ -> None
+  | _ -> (
+      match (c.Callgraph.c_quals, c.Callgraph.c_name) with
+      | quals, ("iter" | "fold" | "to_seq" | "to_seq_keys" | "to_seq_values")
+        when quals = [ "Hashtbl" ] || is_table quals ->
+          Some Hash_order
+      | _ -> None)
 
 type t = {
   graph : Callgraph.t;
@@ -99,8 +104,9 @@ let may_alloc t (d : Callgraph.def) =
   Hashtbl.find_opt t.allocs (Callgraph.def_id d)
 
 (* [seed_allowed ~file ~rule ~line] is true when a justified allow of
-   [rule] guards [line] of [file] — the allow cut above. *)
-let analyze (graph : Callgraph.t) ~seed_allowed =
+   [rule] guards [line] of [file] — the allow cut above.  [is_table ~file
+   quals] resolves typed hash-table modules for {!leaf_effect}. *)
+let analyze (graph : Callgraph.t) ~seed_allowed ~is_table =
   let effects = Hashtbl.create 256 and allocs = Hashtbl.create 256 in
   let add_eff id eff origin =
     let cur = Option.value ~default:[] (Hashtbl.find_opt effects id) in
@@ -124,7 +130,7 @@ let analyze (graph : Callgraph.t) ~seed_allowed =
         ignore (add_eff id Mutation (Leaf ("mutation", d.Callgraph.d_line)));
       List.iter
         (fun (c : Callgraph.call) ->
-          match leaf_effect c with
+          match leaf_effect ~is_table:(is_table ~file:d.Callgraph.d_file) c with
           | None -> ()
           | Some eff ->
               let cut =

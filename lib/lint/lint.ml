@@ -169,8 +169,133 @@ let path_of_lident lid =
   | parts -> parts
   | exception _ -> []
 
-let collect_ident_findings ~path ast =
+(* ---------- typed hash tables ----------
+
+   D2 and D3 are about hash tables, not about the module name [Hashtbl]: a
+   [Hashtbl.Make] instance enumerates in bucket order and raises a bare
+   Not_found exactly like the polymorphic table.  So the rules also fire
+   on [iter]/[fold]/[to_seq*]/[find] reached through any module that the
+   linted tree binds to [Hashtbl.Make]/[MakeSeeded] (directly, or by
+   including such an application in a structure), and through a functor
+   parameter declared [: Hashtbl.S]/[SeededS]. *)
+
+type table_module = {
+  tm_file : string;
+  tm_path : string list;  (* FileModule :: enclosing modules @ [name] *)
+  tm_local : bool;  (* a functor parameter: visible in its own file only *)
+}
+
+let is_hashtbl_functor lid =
+  match Callgraph.strip_stdlib (path_of_lident lid) with
+  | [ "Hashtbl"; ("Make" | "MakeSeeded") ] -> true
+  | _ -> false
+
+let rec is_hashtbl_sig (mt : Parsetree.module_type) =
+  match mt.Parsetree.pmty_desc with
+  | Pmty_ident { txt; _ } -> (
+      match Callgraph.strip_stdlib (path_of_lident txt) with
+      | [ "Hashtbl"; ("S" | "SeededS") ] -> true
+      | _ -> false)
+  | Pmty_with (mt, _) -> is_hashtbl_sig mt
+  | _ -> false
+
+let table_modules_of_file path (ast : Parsetree.structure) =
+  let out = ref [] in
+  let add chain name ~local =
+    out :=
+      {
+        tm_file = path;
+        tm_path = Callgraph.file_module path :: List.rev (name :: chain);
+        tm_local = local;
+      }
+      :: !out
+  in
+  (* [local_tables]: names bound to a table earlier in the same structure,
+     so [struct module H = Hashtbl.Make (K) include H end] counts. *)
+  let rec is_table local_tables (me : Parsetree.module_expr) =
+    match me.Parsetree.pmod_desc with
+    | Pmod_apply ({ pmod_desc = Pmod_ident { txt; _ }; _ }, _) ->
+        is_hashtbl_functor txt
+    | Pmod_constraint (me, _) -> is_table local_tables me
+    | Pmod_ident { txt = Longident.Lident name; _ } -> List.mem name local_tables
+    | Pmod_structure items ->
+        let _, includes_table =
+          List.fold_left
+            (fun (locals, found) (item : Parsetree.structure_item) ->
+              match item.Parsetree.pstr_desc with
+              | Pstr_module { pmb_name = { txt = Some n; _ }; pmb_expr; _ }
+                when is_table locals pmb_expr ->
+                  (n :: locals, found)
+              | Pstr_include { pincl_mod; _ } ->
+                  (locals, found || is_table locals pincl_mod)
+              | _ -> (locals, found))
+            ([], false) items
+        in
+        includes_table
+    | _ -> false
+  in
+  let rec walk chain items =
+    ignore
+      (List.fold_left
+         (fun locals (item : Parsetree.structure_item) ->
+           match item.Parsetree.pstr_desc with
+           | Pstr_module { pmb_name = { txt = Some name; _ }; pmb_expr; _ } ->
+               let table = is_table locals pmb_expr in
+               if table then add chain name ~local:false;
+               module_expr (name :: chain) pmb_expr;
+               if table then name :: locals else locals
+           | _ -> locals)
+         [] items)
+  and module_expr chain (me : Parsetree.module_expr) =
+    match me.Parsetree.pmod_desc with
+    | Pmod_structure items -> walk chain items
+    | Pmod_constraint (me, _) -> module_expr chain me
+    | Pmod_functor (Named ({ txt = Some param; _ }, mt), body) ->
+        if is_hashtbl_sig mt then add chain param ~local:true;
+        module_expr chain body
+    | Pmod_functor (_, body) -> module_expr chain body
+    | _ -> ()
+  in
+  walk [] ast;
+  List.rev !out
+
+let table_modules files =
+  List.concat_map (fun (path, ast) -> table_modules_of_file path ast) files
+
+(* Does the (alias-expanded) qualifier path [quals], written in [path],
+   name one of [tables]?  Resolution is by path suffix, as for the call
+   graph, except that a lone module name only resolves inside its own
+   file: [Tbl.fold] elsewhere needs its qualifier ([Proc_id.Tbl.fold]) or
+   a local alias to it. *)
+let names_table tables ~path quals =
+  quals <> []
+  && List.exists
+       (fun tm ->
+         let same_file = String.equal tm.tm_file path in
+         (same_file || not tm.tm_local)
+         && (Callgraph.is_suffix tm.tm_path quals
+            || (Callgraph.is_suffix quals tm.tm_path
+               && (same_file || List.length quals >= 2))))
+       tables
+
+(* The file's toplevel module aliases, [module M = A.B] as ("M", [A; B]). *)
+let module_aliases (ast : Parsetree.structure) =
+  List.filter_map
+    (fun (item : Parsetree.structure_item) ->
+      match item.Parsetree.pstr_desc with
+      | Pstr_module
+          {
+            pmb_name = { txt = Some name; _ };
+            pmb_expr = { pmod_desc = Pmod_ident { txt; _ }; _ };
+            _;
+          } ->
+          Some (name, Callgraph.strip_stdlib (path_of_lident txt))
+      | _ -> None)
+    ast
+
+let collect_ident_findings ~path ~tables ast =
   let compare_bound_at = compare_binding_lines ast in
+  let aliases = module_aliases ast in
   let acc = ref [] in
   let add rule loc message =
     let pos = loc.Location.loc_start in
@@ -203,15 +328,6 @@ let collect_ident_findings ~path ast =
         if not (d1_exempt path) then
           add Rules.d1 loc
             (Printf.sprintf "%s reads the wall clock; use Sim.now" ident)
-    | [ "Hashtbl"; ("iter" | "fold" | "to_seq" | "to_seq_keys" | "to_seq_values") ]
-      ->
-        add Rules.d2 loc
-          (Printf.sprintf "%s enumerates a hash table in unspecified order"
-             ident)
-    | [ "Hashtbl"; "find" ] ->
-        add Rules.d3 loc
-          (Printf.sprintf
-             "bare %s raises a contextless Not_found; match on find_opt" ident)
     | [ "List"; ("hd" | "tl") ] | [ "Option"; "get" ] ->
         add Rules.d3 loc
           (Printf.sprintf
@@ -233,6 +349,26 @@ let collect_ident_findings ~path ast =
             (Printf.sprintf
                "polymorphic %s on protocol data; name the element comparator"
                ident)
+    | _ :: _ :: _ -> (
+        (* [Hashtbl.op], or [op] on a typed table *)
+        match List.rev parts with
+        | op :: rev_quals
+          when rev_quals = [ "Hashtbl" ]
+               || names_table tables ~path
+                    (Callgraph.expand_aliases aliases (List.rev rev_quals)) -> (
+            match op with
+            | "iter" | "fold" | "to_seq" | "to_seq_keys" | "to_seq_values" ->
+                add Rules.d2 loc
+                  (Printf.sprintf
+                     "%s enumerates a hash table in unspecified order" ident)
+            | "find" ->
+                add Rules.d3 loc
+                  (Printf.sprintf
+                     "bare %s raises a contextless Not_found; match on \
+                      find_opt"
+                     ident)
+            | _ -> ())
+        | _ -> ())
     | _ -> ()
   in
   let open Ast_iterator in
@@ -282,7 +418,9 @@ let partition_by_suppressions suppressions findings =
   in
   List.partition suppressed_by findings
 
-let lint_source ~path source =
+(* [tables] are the typed hash-table modules D2/D3 look through; by
+   default those the file itself defines. *)
+let lint_source ?tables ~path source =
   let suppressions = scan_suppressions source in
   let malformed =
     List.filter_map
@@ -309,7 +447,13 @@ let lint_source ~path source =
       Location.init lexbuf path;
       Parse.implementation lexbuf
     with
-    | ast -> collect_ident_findings ~path ast
+    | ast ->
+        let tables =
+          match tables with
+          | Some tables -> tables
+          | None -> table_modules_of_file path ast
+        in
+        collect_ident_findings ~path ~tables ast
     | exception exn ->
         let line, msg =
           match exn with

@@ -118,22 +118,25 @@ let contract_matches (d : Callgraph.def) entry =
 (* ---------- the analysis ---------- *)
 
 let analyze ~files () =
+  let parsed =
+    List.filter_map
+      (fun (path, source) ->
+        match parse_structure ~path source with
+        | Some ast -> Some (path, ast)
+        | None -> None)
+      files
+  in
+  (* Typed hash tables are resolved tree-wide: a table defined in one file
+     is enumerated in another. *)
+  let tables = Lint.table_modules parsed in
   let per_file =
     List.map
       (fun (path, source) ->
-        let r = Lint.lint_source ~path source in
+        let r = Lint.lint_source ~tables ~path source in
         let suppressions = Lint.scan_suppressions source in
         let annotations = Lint.scan_annotations source in
         (path, source, r, suppressions, annotations))
       files
-  in
-  let parsed =
-    List.filter_map
-      (fun (path, source, _, _, _) ->
-        match parse_structure ~path source with
-        | Some ast -> Some (path, ast)
-        | None -> None)
-      per_file
   in
   let graph = Callgraph.build parsed in
   let justified path =
@@ -149,7 +152,10 @@ let analyze ~files () =
         && (s.Lint.s_line = line || s.Lint.s_line = line - 1))
       (justified file)
   in
-  let eff = Effects.analyze graph ~seed_allowed in
+  let eff =
+    Effects.analyze graph ~seed_allowed ~is_table:(fun ~file quals ->
+        Lint.names_table tables ~path:file quals)
+  in
   (* --- C1: capability certification of the protocol layers --- *)
   let effectful_protected =
     List.filter

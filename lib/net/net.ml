@@ -42,7 +42,7 @@ type 'm t = {
   describe : 'm -> string;
   ident : 'm -> Event.msg option;
   idents : 'm -> Event.msg list;
-  handlers : (Proc_id.t, 'm envelope -> unit) Hashtbl.t;
+  handlers : ('m envelope -> unit) Proc_id.Tbl.t;
   node_live : (int, Proc_id.t) Hashtbl.t; (* node -> live incarnation *)
   node_next_inc : (int, int) Hashtbl.t;   (* node -> next unused incarnation *)
   mutable component : int -> int;         (* node -> component id *)
@@ -70,7 +70,7 @@ let create ?(size_of = fun _ -> 1) ?(describe = fun _ -> "msg")
     describe;
     ident;
     idents;
-    handlers = Hashtbl.create 64;
+    handlers = Proc_id.Tbl.create 64;
     node_live = Hashtbl.create 64;
     node_next_inc = Hashtbl.create 64;
     component = (fun _ -> 0);
@@ -82,7 +82,7 @@ let create ?(size_of = fun _ -> 1) ?(describe = fun _ -> "msg")
   }
 
 (* vslint: alloc-free *)
-let is_live t p = Hashtbl.mem t.handlers p
+let is_live t p = Proc_id.Tbl.mem t.handlers p
 
 let live_on_node t node = Hashtbl.find_opt t.node_live node
 
@@ -103,12 +103,12 @@ let register t p handler =
       (Printf.sprintf "Net.register: stale incarnation %s (next is %d)"
          (Proc_id.to_string p) next);
   Hashtbl.replace t.node_next_inc p.Proc_id.node (p.Proc_id.inc + 1);
-  Hashtbl.replace t.handlers p handler;
+  Proc_id.Tbl.replace t.handlers p handler;
   Hashtbl.replace t.node_live p.Proc_id.node p
 
 let crash t p =
   if is_live t p then begin
-    Hashtbl.remove t.handlers p;
+    Proc_id.Tbl.remove t.handlers p;
     (match live_on_node t p.Proc_id.node with
     | Some q when Proc_id.equal q p -> Hashtbl.remove t.node_live p.Proc_id.node
     | Some _ | None -> ());
@@ -187,7 +187,7 @@ let emit_drop t ~src ~dst ~payload ~reason =
 let deliver_later ?(extra_copy = false) t env =
   let bytes = t.size_of env.payload in
   let deliver () =
-    match Hashtbl.find_opt t.handlers env.dst with
+    match Proc_id.Tbl.find_opt t.handlers env.dst with
     | Some handler when connected t env.src.Proc_id.node env.dst.Proc_id.node ->
         t.delivered <- t.delivered + 1;
         if Sim.obs_full t.sim then
@@ -263,40 +263,44 @@ let send_to t ~src ~dst payload =
 
 let send t ~src ~dst payload = send_to t ~src ~dst payload
 
+(* Node-addressed traffic renders with the n<dst_node> pseudo-destination.
+   These are top-level functions rather than closures in [send_node]:
+   heartbeats are node-addressed, and the send path must not allocate for
+   an event it emits only at Full level. *)
+let node_dst dst_node = { Event.node = dst_node; inc = -1 }
+
+let emit_node_drop t ~src ~dst_node ~payload reason =
+  if Sim.obs_full t.sim then
+    Sim.emit t.sim
+      (Event.Drop
+         {
+           src = Proc_id.to_obs src;
+           dst = node_dst dst_node;
+           kind = t.describe payload;
+           reason;
+           msg = t.ident payload;
+         })
+
 let send_node t ~src ~dst_node payload =
   (* Address the node: resolve the live incarnation at delivery time by
      re-resolving through a fresh lookup when the message lands. We model it
      by resolving now and also accepting the case where a *newer* incarnation
      appears before arrival: resolve at delivery. *)
   meter_send t ~bytes:(t.size_of payload);
-  (* Node-addressed drops render with the n<dst_node> pseudo-destination. *)
-  let node_dst () = { Event.node = dst_node; inc = -1 } in
-  let emit_node_drop reason =
-    if Sim.obs_full t.sim then
-      Sim.emit t.sim
-        (Event.Drop
-           {
-             src = Proc_id.to_obs src;
-             dst = node_dst ();
-             kind = t.describe payload;
-             reason;
-             msg = t.ident payload;
-           })
-  in
   if not (is_live t src) then begin
     meter_dropped t;
-    emit_node_drop "src-dead"
+    emit_node_drop t ~src ~dst_node ~payload "src-dead"
   end
   else if
     src.Proc_id.node <> dst_node && not (connected t src.Proc_id.node dst_node)
   then begin
     meter_dropped t;
-    emit_node_drop "partition"
+    emit_node_drop t ~src ~dst_node ~payload "partition"
   end
   else if src.Proc_id.node <> dst_node && Rng.bool t.rng t.config.drop_prob
   then begin
     meter_dropped t;
-    emit_node_drop "loss"
+    emit_node_drop t ~src ~dst_node ~payload "loss"
   end
   else begin
     let sent_at = Sim.now t.sim in
@@ -306,7 +310,7 @@ let send_node t ~src ~dst_node payload =
         (Event.Send
            {
              src = Proc_id.to_obs src;
-             dst = node_dst ();
+             dst = node_dst dst_node;
              kind = t.describe payload;
              bytes;
              msg = t.ident payload;
@@ -314,7 +318,7 @@ let send_node t ~src ~dst_node payload =
     let deliver () =
       match live_on_node t dst_node with
       | Some dst when connected t src.Proc_id.node dst_node -> (
-          match Hashtbl.find_opt t.handlers dst with
+          match Proc_id.Tbl.find_opt t.handlers dst with
           | Some handler ->
               t.delivered <- t.delivered + 1;
               if Sim.obs_full t.sim then
@@ -329,13 +333,13 @@ let send_node t ~src ~dst_node payload =
               handler { src; dst; sent_at; payload }
           | None ->
               meter_dropped t;
-              emit_node_drop "dst-dead")
+              emit_node_drop t ~src ~dst_node ~payload "dst-dead")
       | Some _ ->
           meter_dropped t;
-          emit_node_drop "partition-inflight"
+          emit_node_drop t ~src ~dst_node ~payload "partition-inflight"
       | None ->
           meter_dropped t;
-          emit_node_drop "dst-dead"
+          emit_node_drop t ~src ~dst_node ~payload "dst-dead"
     in
     ignore (Sim.after t.sim (sample_delay t ~bytes) deliver);
     (* Same duplication model as [send_to]: self-sends exempt. *)
@@ -346,7 +350,7 @@ let send_node t ~src ~dst_node payload =
           (Event.Dup
              {
                src = Proc_id.to_obs src;
-               dst = node_dst ();
+               dst = node_dst dst_node;
                kind = t.describe payload;
                msg = t.ident payload;
              });

@@ -34,3 +34,26 @@ end
 
 module Map = Map.Make (Ord)
 module Set = Set.Make (Ord)
+
+(* Allocation-free integer hash: the same formula as
+   [Vs_obs.Event.hash_proc], so a process hashes alike in the protocol's
+   tables and in the analyses' tables.  Polymorphic [Hashtbl.hash] walks
+   the record generically on every lookup; the control plane (heartbeats,
+   stability gossip, per-message dispatch) looks up a process id on every
+   wire message. *)
+let hash t = (t.node * 65599) + t.inc
+
+module Tbl = struct
+  module H = Hashtbl.Make (struct
+    type nonrec t = t
+
+    let equal = equal
+    let hash = hash
+  end)
+
+  include H
+  module Sorted = Vs_util.Hashtblx.Make (H)
+
+  let sorted_bindings tbl = Sorted.sorted_bindings ~cmp:compare tbl
+  let sorted_keys tbl = Sorted.sorted_keys ~cmp:compare tbl
+end

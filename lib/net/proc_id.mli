@@ -28,3 +28,21 @@ val min_member : t list -> t option
 
 module Map : Map.S with type key = t
 module Set : Set.S with type elt = t
+
+val hash : t -> int
+(** Allocation-free integer hash, equal to {!Vs_obs.Event.hash_proc} of the
+    mirrored id. *)
+
+(** Hash tables keyed by process id, hashed by {!hash}.  Like every hash
+    table, enumeration order is bucket order: the only sanctioned
+    enumerations are the sorted ones below (vslint rule D2 flags raw
+    [iter]/[fold]/[to_seq] on this module too). *)
+module Tbl : sig
+  include Hashtbl.S with type key = t
+
+  val sorted_bindings : 'a t -> (key * 'a) list
+  (** Every binding, in {!compare} order of the keys. *)
+
+  val sorted_keys : 'a t -> key list
+  (** Every key, in {!compare} order. *)
+end

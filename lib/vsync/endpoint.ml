@@ -105,7 +105,7 @@ type ('a, 'ann) ack = {
 type ('a, 'ann) proposal = {
   p_vid : View.Id.t;
   p_members : Proc_id.t list;
-  p_acks : (Proc_id.t, ('a, 'ann) ack) Hashtbl.t;
+  p_acks : ('a, 'ann) ack Proc_id.Tbl.t;
   mutable p_timer : Sim.handle option;
 }
 
@@ -135,8 +135,8 @@ type ('a, 'ann) t = {
   mutable send_seq : int;
   mutable to_seq : int;  (* my next total-order request number *)
   (* coordinator side: per-origin relay sequencing *)
-  to_streams : (Proc_id.t, int ref * (int, 'a) Hashtbl.t) Hashtbl.t;
-  streams : (Proc_id.t, 'a stream) Hashtbl.t;
+  to_streams : (int ref * (int, 'a) Hashtbl.t) Proc_id.Tbl.t;
+  streams : 'a stream Proc_id.Tbl.t;
   mutable causal_seen : bool;
       (* a Causal message has reached the streams in the current view:
          until the next install, every arrival drains all streams *)
@@ -158,7 +158,7 @@ type ('a, 'ann) t = {
   mutable alive : bool;
   (* stability tracking: each member's latest delivered-prefix vector,
      keyed by sender for O(1) lookup inside the floor fold *)
-  stable_vectors : (Proc_id.t, (Proc_id.t, int) Hashtbl.t) Hashtbl.t;
+  stable_vectors : int Proc_id.Tbl.t Proc_id.Tbl.t;
   (* NACK retransmission targets: the current view's members minus me, in
      member order, cached per view so round-robin target selection does not
      rebuild (and index into) a list on every armed gap *)
@@ -201,7 +201,7 @@ let view t = t.view
 let is_blocked t = match t.phase with Flushing _ -> true | Active -> false
 
 let delivered_prefix t sender =
-  match Hashtbl.find_opt t.streams sender with Some s -> s.next | None -> 0
+  match Proc_id.Tbl.find_opt t.streams sender with Some s -> s.next | None -> 0
 
 let is_alive t = t.alive
 
@@ -324,7 +324,7 @@ let ctl_reset t =
   Hashtbl.reset t.ctl_pending
 
 let stream_for t sender =
-  match Hashtbl.find_opt t.streams sender with
+  match Proc_id.Tbl.find_opt t.streams sender with
   | Some s -> s
   | None ->
       let s =
@@ -337,49 +337,99 @@ let stream_for t sender =
           nack_round = 0;
         }
       in
-      Hashtbl.add t.streams sender s;
+      Proc_id.Tbl.add t.streams sender s;
       s
 
 (* The view's stability floor for a sender: the minimum delivered prefix
    reported by every current member (0 until everyone has reported).
    Messages below it are delivered everywhere, so flush reports can omit
-   them and logs can drop them.  Vectors are stored as per-member hash
-   tables so the fold is O(members), not O(members * senders) as the old
-   assoc-list scan was — the floor is recomputed per sender on every
-   stability tick, which made the scan quadratic on the gossip hot path. *)
-let floor_from_tables tables members sender =
-  List.fold_left
-    (fun floor member ->
-      let reported =
-        match Hashtbl.find_opt tables member with
-        | Some (table : (Proc_id.t, int) Hashtbl.t) -> (
-            match Hashtbl.find_opt table sender with Some n -> n | None -> 0)
-        | None -> 0
-      in
-      min floor reported)
-    max_int members
+   them and logs can drop them.  Vectors are stored as per-member tables so
+   the fold is O(members); it runs per sender on every gossip report, so it
+   allocates nothing either — no option per lookup, no closure — and a
+   missing member or sender reads as 0 through the Not_found branch. *)
+let reported tables member sender =
+  (* vslint: allow D3 — Not_found is the absent case, matched right here *)
+  match Proc_id.Tbl.find tables member with
+  | table -> (
+      (* vslint: allow D3 — Not_found is the absent case, matched right here *)
+      match Proc_id.Tbl.find table sender with
+      | n -> n
+      | exception Not_found -> 0)
+  | exception Not_found -> 0
+
+(* The running minimum only falls, so once it is at or below [above] the
+   result cannot exceed [above] and the fold stops there.  A caller that
+   acts only on a floor above [above] (trimming a log past its watermark)
+   thus sees the exact floor whenever it acts, and in the steady state —
+   nothing new to trim — pays one member's lookups instead of all of them.
+   [above = min_int] folds the exact floor. *)
+let rec floor_from_tables tables members sender ~above floor =
+  if floor <= above then floor
+  else
+    match members with
+    | [] -> floor
+    | member :: rest ->
+        floor_from_tables tables rest sender ~above
+          (Int.min floor (reported tables member sender))
 
 let stability_floor t sender =
-  floor_from_tables t.stable_vectors t.view.View.members sender
+  floor_from_tables t.stable_vectors t.view.View.members sender ~above:min_int
+    max_int
 
-(* Test hook: the floor as computed from raw (member, vector) assoc lists,
-   through the same table-based fold the endpoint uses — lets tests pin the
-   rewrite against an independent reference without building an endpoint. *)
-let stability_floor_of ~vectors ~members ~sender =
-  let tables = Hashtbl.create (List.length vectors) in
-  List.iter
-    (fun (member, vector) ->
-      let table = Hashtbl.create (List.length vector) in
-      List.iter (fun (s, n) -> Hashtbl.replace table s n) vector;
-      Hashtbl.replace tables member table)
-    vectors;
-  floor_from_tables tables members sender
+(* Store [vector] as [member]'s latest report.  Gossip repeats the same
+   senders report after report, so the member's table is overwritten in
+   place; absent reads as 0, so the table must end up holding exactly the
+   vector's bindings.  That holds when the vector is strictly ascending
+   (distinct keys — every vector built by [stability_tick] is) and the
+   table ends up no larger than the vector: a sender the new report no
+   longer carries (a Stability_smear entry, say) or an unsorted vector
+   falls back to rebuilding the table. *)
+let rec overwrite_ascending table prev written = function
+  | [] -> Proc_id.Tbl.length table = written
+  | (sender, n) :: rest ->
+      Proc_id.compare prev sender < 0
+      && begin
+           Proc_id.Tbl.replace table sender n;
+           overwrite_ascending table sender (written + 1) rest
+         end
+
+let fill table vector =
+  List.iter (fun (sender, n) -> Proc_id.Tbl.replace table sender n) vector
+
+let record_vector tables member vector =
+  (* vslint: allow D3 — Not_found is a member's first report, matched below *)
+  match Proc_id.Tbl.find tables member with
+  | table ->
+      let exact =
+        match vector with
+        | [] -> Proc_id.Tbl.length table = 0
+        | (sender, n) :: rest ->
+            Proc_id.Tbl.replace table sender n;
+            overwrite_ascending table sender 1 rest
+      in
+      if not exact then begin
+        Proc_id.Tbl.reset table;
+        fill table vector
+      end
+  | exception Not_found ->
+      let table = Proc_id.Tbl.create (List.length vector) in
+      fill table vector;
+      Proc_id.Tbl.replace tables member table
+
+(* Test hook: the gossip reports [vectors] — (member, vector) pairs in
+   arrival order, a later report replacing the same member's earlier one —
+   are stored and folded exactly as the endpoint does, so tests can pin
+   both against an independent assoc-list reference without an endpoint. *)
+let stability_floor_of ?(above = min_int) ~vectors ~members ~sender () =
+  let tables = Proc_id.Tbl.create (List.length vectors) in
+  List.iter (fun (member, vector) -> record_vector tables member vector) vectors;
+  floor_from_tables tables members sender ~above max_int
 
 (* Everything this process has seen (delivered or buffered) in the current
    view above the stability floor, in canonical (sender, seq) order — the
    flush report. *)
 let all_seen t =
-  Hashtblx.sorted_bindings ~cmp:Proc_id.compare t.streams
+  Proc_id.Tbl.sorted_bindings t.streams
   |> List.concat_map (fun (sender, s) ->
          let floor =
            match t.config.stability_interval with
@@ -408,7 +458,7 @@ let causally_ready t (d : 'a Wire.data) =
         (fun (q, n) ->
           Proc_id.equal q d.Wire.sender
           ||
-          match Hashtbl.find_opt t.streams q with
+          match Proc_id.Tbl.find_opt t.streams q with
           | Some s -> s.next >= n
           | None -> n <= 0)
         deps
@@ -445,7 +495,7 @@ let drain_all t =
        table mid-iteration). *)
     List.iter
       (fun (_, s) -> if drain_stream t s then progress := true)
-      (Hashtblx.sorted_bindings ~cmp:Proc_id.compare t.streams)
+      (Proc_id.Tbl.sorted_bindings t.streams)
   done
 
 (* Where to send the [round]-th NACK for a gap in [sender]'s stream: the
@@ -658,7 +708,7 @@ let rec multicast t ?(order = Fifo) payload =
                order-insensitive (List.for_all), but the wire image feeds
                traces and byte-identical replay. *)
             let deps =
-              Hashtblx.sorted_bindings ~cmp:Proc_id.compare t.streams
+              Proc_id.Tbl.sorted_bindings t.streams
               |> List.filter_map (fun (sender, s) ->
                      if s.next > 0 then Some (sender, s.next) else None)
             in
@@ -745,7 +795,7 @@ and start_proposal t members =
   abandon_proposal t;
   t.max_epoch <- t.max_epoch + 1;
   let pvid = View.Id.make ~epoch:t.max_epoch ~proposer:t.me in
-  let p = { p_vid = pvid; p_members = members; p_acks = Hashtbl.create 8; p_timer = None } in
+  let p = { p_vid = pvid; p_members = members; p_acks = Proc_id.Tbl.create 8; p_timer = None } in
   t.proposal <- Some p;
   t.s_proposals <- t.s_proposals + 1;
   Sim.emit t.sim
@@ -776,7 +826,7 @@ and start_proposal t members =
       ctl_send t dst (Wire.Propose { pvid; members })
         ~is_done:(fun () ->
           match t.proposal with
-          | Some p when View.Id.equal p.p_vid pvid -> Hashtbl.mem p.p_acks dst
+          | Some p when View.Id.equal p.p_vid pvid -> Proc_id.Tbl.mem p.p_acks dst
           | Some _ | None -> true))
     members
 
@@ -826,9 +876,9 @@ and handle_propose_reject t ~pvid ~max_vid =
 
 and handle_flush_ack t ~src ~pvid ~from_view ~seen ~ann =
   match t.proposal with
-  | Some p when View.Id.equal p.p_vid pvid && not (Hashtbl.mem p.p_acks src) ->
-      Hashtbl.replace p.p_acks src { a_from = from_view; a_ann = ann; a_seen = seen };
-      if List.for_all (fun m -> Hashtbl.mem p.p_acks m) p.p_members then
+  | Some p when View.Id.equal p.p_vid pvid && not (Proc_id.Tbl.mem p.p_acks src) ->
+      Proc_id.Tbl.replace p.p_acks src { a_from = from_view; a_ann = ann; a_seen = seen };
+      if List.for_all (fun m -> Proc_id.Tbl.mem p.p_acks m) p.p_members then
         finalize_proposal t p
   | Some _ | None -> ()
 
@@ -838,7 +888,7 @@ and finalize_proposal t p =
   let acks =
     List.map
       (fun m ->
-        match Hashtbl.find_opt p.p_acks m with
+        match Proc_id.Tbl.find_opt p.p_acks m with
         | Some a -> (m, a)
         | None ->
             invalid_arg
@@ -912,18 +962,18 @@ and handle_install t ~pvid ~view:new_view ~sync ~anns ~priors =
       let progress = ref true in
       while !progress && !remaining <> [] do
         progress := false;
-        let blocked = Hashtbl.create 4 in
+        let blocked = Proc_id.Tbl.create 4 in
         remaining :=
           List.filter
             (fun (d : 'a Wire.data) ->
-              if Hashtbl.mem blocked d.Wire.sender then true
+              if Proc_id.Tbl.mem blocked d.Wire.sender then true
               else if causally_ready t d then begin
                 deliver_sync d;
                 progress := true;
                 false
               end
               else begin
-                Hashtbl.replace blocked d.Wire.sender ();
+                Proc_id.Tbl.replace blocked d.Wire.sender ();
                 true
               end)
             !remaining
@@ -937,10 +987,10 @@ and handle_install t ~pvid ~view:new_view ~sync ~anns ~priors =
       t.max_epoch <- max t.max_epoch new_view.View.id.View.Id.epoch;
       t.send_seq <- 0;
       t.to_seq <- 0;
-      Hashtbl.reset t.streams;
+      Proc_id.Tbl.reset t.streams;
       t.causal_seen <- false;
-      Hashtbl.reset t.to_streams;
-      Hashtbl.reset t.stable_vectors;
+      Proc_id.Tbl.reset t.to_streams;
+      Proc_id.Tbl.reset t.stable_vectors;
       t.nack_peers <-
         live_peers_array ~me:t.me ~members:new_view.View.members;
       (* Batch buffers are empty here (forced out at handle_propose;
@@ -1028,11 +1078,11 @@ and handle_to_request t ~orig ~rseq ~user =
       (* Relay in per-origin request order: requests race on the wire, so
          buffer out-of-order arrivals — Total stays FIFO per origin. *)
       let next, pending =
-        match Hashtbl.find_opt t.to_streams orig with
+        match Proc_id.Tbl.find_opt t.to_streams orig with
         | Some entry -> entry
         | None ->
             let entry = (ref 0, Hashtbl.create 4) in
-            Hashtbl.replace t.to_streams orig entry;
+            Proc_id.Tbl.replace t.to_streams orig entry;
             entry
       in
       if rseq >= !next then begin
@@ -1054,19 +1104,7 @@ and handle_to_request t ~orig ~rseq ~user =
    flush will ever need them again. *)
 let handle_stable_report t ~src ~vid ~vector =
   if View.Id.equal vid t.view.View.id then begin
-    (* Index the reporter's vector once; the floor fold then looks senders
-       up in O(1) instead of scanning an assoc list per (member, sender). *)
-    let table =
-      match Hashtbl.find_opt t.stable_vectors src with
-      | Some table ->
-          Hashtbl.reset table;
-          table
-      | None ->
-          let table = Hashtbl.create (List.length vector) in
-          Hashtbl.replace t.stable_vectors src table;
-          table
-    in
-    List.iter (fun (sender, n) -> Hashtbl.replace table sender n) vector;
+    record_vector t.stable_vectors src vector;
     (* Trim each stream's log up to its new stability floor.  The [trimmed]
        watermark makes this incremental: the old code snapshotted and sorted
        every log on every gossip report — O(streams × log size) of pure
@@ -1076,9 +1114,12 @@ let handle_stable_report t ~src ~vid ~vector =
        [trimmed, floor) visits each stable entry exactly once over the
        stream's lifetime. *)
     (* vslint: allow D2 — removal-only sweep over independent streams; trimming commutes *)
-    Hashtbl.iter
+    Proc_id.Tbl.iter
       (fun sender s ->
-        let floor = stability_floor t sender in
+        let floor =
+          floor_from_tables t.stable_vectors t.view.View.members sender
+            ~above:s.trimmed max_int
+        in
         if floor > s.trimmed then begin
           for seq = s.trimmed to floor - 1 do
             if Hashtbl.mem s.log seq then begin
@@ -1100,7 +1141,7 @@ let rec stability_tick t interval () =
            Proc_id order so identically-seeded runs produce byte-identical
            messages and traces. *)
         let vector =
-          Hashtblx.sorted_bindings ~cmp:Proc_id.compare t.streams
+          Proc_id.Tbl.sorted_bindings t.streams
           |> List.map (fun (sender, s) -> (sender, s.next))
         in
         let report =
@@ -1114,12 +1155,15 @@ let rec stability_tick t interval () =
     ignore (Sim.after t.sim interval (stability_tick t interval))
   end
 
+let stable_report_received t ~src ~vector =
+  handle_stable_report t ~src ~vid:t.view.View.id ~vector
+
 (* Serve a retransmission request for [sender]'s stream from our own log of
    it — whoever we are.  Peer-served gaps are what keep a crashed sender's
    tail recoverable before the next flush. *)
 let handle_nack t ~src ~vid ~sender ~missing =
   if View.Id.equal vid t.view.View.id then begin
-    match Hashtbl.find_opt t.streams sender with
+    match Proc_id.Tbl.find_opt t.streams sender with
     | None -> ()
     | Some s ->
         let found =
@@ -1215,8 +1259,8 @@ let create sim net ~me:me_ ~universe ~config ~callbacks =
       max_epoch = 0;
       send_seq = 0;
       to_seq = 0;
-      to_streams = Hashtbl.create 8;
-      streams = Hashtbl.create 16;
+      to_streams = Proc_id.Tbl.create 8;
+      streams = Proc_id.Tbl.create 16;
       causal_seen = false;
       pending_out = Queue.create ();
       ctl_rid = 0;
@@ -1228,7 +1272,7 @@ let create sim net ~me:me_ ~universe ~config ~callbacks =
       fd = None;
       est = None;
       alive = true;
-      stable_vectors = Hashtbl.create 8;
+      stable_vectors = Proc_id.Tbl.create 8;
       nack_peers = [||]; (* singleton initial view: no peers *)
       batch_rev = [];
       batch_len = 0;
@@ -1368,18 +1412,18 @@ let corrupt t (c : corruption) =
       | Stability_smear (node, amount) ->
           let member = member_for_node t node in
           let table =
-            match Hashtbl.find_opt t.stable_vectors member with
+            match Proc_id.Tbl.find_opt t.stable_vectors member with
             | Some table -> table
             | None ->
-                let table = Hashtbl.create 8 in
-                Hashtbl.replace t.stable_vectors member table;
+                let table = Proc_id.Tbl.create 8 in
+                Proc_id.Tbl.replace t.stable_vectors member table;
                 table
           in
           let before =
-            match Hashtbl.find_opt table t.me with Some n -> n | None -> 0
+            match Proc_id.Tbl.find_opt table t.me with Some n -> n | None -> 0
           in
           let after = max 0 (before + amount) in
-          Hashtbl.replace table t.me after;
+          Proc_id.Tbl.replace table t.me after;
           Printf.sprintf "[%s][%s] %d -> %d"
             (Proc_id.to_string member) (Proc_id.to_string t.me) before after
       | View_skew k ->

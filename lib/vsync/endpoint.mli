@@ -203,13 +203,27 @@ val stats : ('a, 'ann) t -> stats
     standing up an endpoint. *)
 
 val stability_floor_of :
+  ?above:int ->
   vectors:(Proc_id.t * (Proc_id.t * int) list) list ->
   members:Proc_id.t list ->
   sender:Proc_id.t ->
+  unit ->
   int
-(** The view's stability floor for [sender] given each member's reported
-    delivered-prefix vector — the member-wise minimum, 0 for members that
-    have not reported (and [max_int] with no members, as internally). *)
+(** The view's stability floor for [sender] after the (member, vector)
+    gossip reports [vectors], in arrival order — each member's latest
+    report replaces its earlier ones, exactly as the endpoint stores them.
+    The floor is the member-wise minimum of the reported prefixes, 0 for
+    members that have not reported or did not report [sender] (and
+    [max_int] with no members, as internally).  With [above], the fold
+    stops once the floor is known not to exceed [above], as the log trim
+    does: the result is exact when it is above [above], and at most
+    [above] otherwise. *)
+
+val stable_report_received :
+  ('a, 'ann) t -> src:Proc_id.t -> vector:(Proc_id.t * int) list -> unit
+(** Handle one stability-gossip report for the current view as if it had
+    arrived from [src] — the receive path, without the network, for the
+    control-plane micro-benchmark. *)
 
 val nack_targets_of :
   me:Proc_id.t ->

@@ -6,11 +6,16 @@
      on with an 8-round pipeline;
    - a mixed Fifo/Causal endpoint run on a reordering, lossy, duplicating
      network with one crash, where deliveries trigger further causal
-     multicasts.
+     multicasts;
+   - eight quick campaigns (both protocols, with crashes, partitions, loss
+     and duplication) and four transient ones, one of them carrying a
+     Stability_smear corruption: the background control plane — failure
+     suspicion, stability gossip, the corrupted-floor path — under churn.
 
    For each it prints the events processed, the Net counters, a digest of
    every replica's apply stream (kv) or every process's delivery sequence
-   (endpoints).  Any change to event ordering, RNG consumption, wire traffic
+   (endpoints); for a campaign, its outcome counters and a digest of its
+   Protocol-level recording (which carries every Suspect/Unsuspect).  Any change to event ordering, RNG consumption, wire traffic
    or delivery order moves at least one line, so a hot-path optimisation
    that claims to leave the schedule alone is held to it.  Regenerate only
    after an intentional schedule change with
@@ -23,6 +28,11 @@ module Endpoint = Vs_vsync.Endpoint
 module Kv = Vs_apps.Kv_store
 module App_fleet = Vs_exp.App_fleet
 module Rng = Vs_util.Rng
+module Campaign = Vs_check.Campaign
+module Faults = Vs_harness.Faults
+module Driver = Vs_harness.Driver
+module Recorder = Vs_obs.Recorder
+module Event = Vs_obs.Event
 
 let net_line (s : Net.stats) =
   Printf.sprintf "net sent=%d delivered=%d dropped=%d duplicated=%d bytes=%d"
@@ -158,11 +168,82 @@ let endpoints out ~name ~seed =
         (Buffer.length b) (digest_of b))
     logs
 
+(* ---------- campaigns ---------- *)
+
+let script_coverage (script : Faults.script) =
+  let count p = List.length (List.filter (fun (_, a) -> p a) script) in
+  let corruptions =
+    List.filter_map
+      (fun (_, a) ->
+        match a with
+        | Faults.Corrupt (node, c) ->
+            Some (Printf.sprintf "%d:%s" node (Faults.corruption_to_string c))
+        | Faults.Partition _ | Faults.Heal | Faults.Crash _ | Faults.Recover _
+          ->
+            None)
+      script
+  in
+  Printf.sprintf "crashes=%d partitions=%d corrupt=[%s]"
+    (count (function Faults.Crash _ -> true | _ -> false))
+    (count (function Faults.Partition _ -> true | _ -> false))
+    (String.concat "," corruptions)
+
+let campaign out (spec : Campaign.spec) =
+  let name =
+    Printf.sprintf "campaign %Ld %s%s" spec.Campaign.seed
+      (Driver.protocol_to_string spec.Campaign.protocol)
+      (if spec.Campaign.transient then " transient" else "")
+  in
+  let obs = Recorder.create ~level:Recorder.Protocol () in
+  let o = Campaign.run ~obs spec in
+  let entries = Recorder.entries obs in
+  let suspects, unsuspects =
+    List.fold_left
+      (fun (s, u) (e : Recorder.entry) ->
+        match e.Recorder.event with
+        | Event.Suspect _ -> (s + 1, u)
+        | Event.Unsuspect _ -> (s, u + 1)
+        | _ -> (s, u))
+      (0, 0) entries
+  in
+  Printf.bprintf out "[%s] loss=%h dup=%h %s\n" name
+    spec.Campaign.knobs.Campaign.loss_prob
+    spec.Campaign.knobs.Campaign.dup_prob
+    (script_coverage spec.Campaign.script);
+  Printf.bprintf out
+    "[%s] events=%d installs=%d deliveries=%d eview_changes=%d violations=%d\n"
+    name o.Campaign.events o.Campaign.installs o.Campaign.deliveries
+    o.Campaign.eview_changes
+    (List.length o.Campaign.violations);
+  Printf.bprintf out "[%s] recording=%d suspects=%d unsuspects=%d digest=%s\n"
+    name (List.length entries) suspects unsuspects
+    (Digest.to_hex
+       (Digest.string (Vs_obs.Export.jsonl_of_entries entries)))
+
+(* Seeds picked for coverage: every quick campaign crashes and partitions,
+   several lose and duplicate messages, and the first transient script
+   smears a member's reported stability prefix (Stability_smear). *)
+let campaigns out =
+  List.iter
+    (fun (seed, protocol) ->
+      campaign out (Campaign.generate ~protocol ~seed ~nodes:5 ~quick:true ()))
+    [
+      (1, Driver.Vsync); (2, Driver.Vsync); (3, Driver.Vsync); (4, Driver.Vsync);
+      (5, Driver.Evs); (6, Driver.Evs); (7, Driver.Evs); (8, Driver.Evs);
+    ];
+  List.iter
+    (fun (seed, protocol) ->
+      campaign out
+        (Campaign.generate ~protocol ~transient:true ~seed ~nodes:5 ~quick:true
+           ()))
+    [ (1, Driver.Vsync); (2, Driver.Evs); (3, Driver.Vsync); (6, Driver.Evs) ]
+
 let fingerprint () =
   let out = Buffer.create 4096 in
   kv out ~name:"kv-unbatched" ~seed:4L ~batching:false;
   kv out ~name:"kv-pipelined" ~seed:5L ~batching:true;
   endpoints out ~name:"mixed-causal" ~seed:11L;
+  campaigns out;
   Buffer.contents out
 
 let read_file path =

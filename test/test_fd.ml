@@ -161,6 +161,86 @@ let test_stop () =
   check (Alcotest.list Alcotest.int) "stopped detector frozen" [ 0 ]
     (reachable_nodes n0)
 
+(* The detector skips rebuilding its reachable set when the set provably
+   has not changed.  Pin that shortcut against a reference model that
+   recomputes the sorted fresh set from scratch on every refresh — every
+   heartbeat, every forget of a known peer, every tick — over random
+   sequences of heartbeats (several incarnations per node, the detector's
+   own id among them), forgets and clock advances across the timeout. *)
+type op = Hb of Proc_id.t | Forget of Proc_id.t | Advance of float
+
+let op_to_string = function
+  | Hb p -> "hb " ^ Proc_id.to_string p
+  | Forget p -> "forget " ^ Proc_id.to_string p
+  | Advance dt -> Printf.sprintf "advance %g" dt
+
+let gen_op =
+  let open QCheck.Gen in
+  let proc =
+    map2 (fun node inc -> Proc_id.make ~node ~inc) (int_range 0 3) (int_range 0 2)
+  in
+  frequency
+    [
+      (6, map (fun p -> Hb p) proc);
+      (1, map (fun p -> Forget p) proc);
+      (3, map (fun dt -> Advance dt) (oneofl [ 0.004; 0.02; 0.045; 0.08; 0.099; 0.101; 0.2 ]));
+    ]
+
+let model_matches ops =
+  let config = Fd.default_config in
+  let me = Proc_id.initial 0 in
+  let sim = Sim.create ~seed:31L () in
+  let heard = Hashtbl.create 16 in
+  let model_current = ref [ me ] and expected = ref [] and got = ref [] in
+  let model_refresh () =
+    let now = Sim.now sim in
+    let fresh =
+      Vs_util.Hashtblx.sorted_bindings ~cmp:Proc_id.compare heard
+      |> List.filter_map (fun (p, at) ->
+             if now -. at < config.Fd.timeout then Some p else None)
+    in
+    let next = Proc_id.sort (me :: fresh) in
+    if not (List.equal Proc_id.equal next !model_current) then begin
+      model_current := next;
+      expected := next :: !expected
+    end
+  in
+  let fd =
+    Fd.create sim ~me ~universe:[ 0; 1; 2; 3 ] ~config
+      ~send_heartbeat:(fun ~dst_node ->
+        (* A tick sends to nodes 1, 2, 3 and then refreshes at the same
+           instant: the first send marks the model's tick refresh. *)
+        if dst_node = 1 then model_refresh ())
+      ~on_change:(fun set -> got := set :: !got)
+  in
+  List.iter
+    (function
+      | Hb p ->
+          Fd.heartbeat_received fd ~from:p;
+          if not (Proc_id.equal p me) then begin
+            Hashtbl.replace heard p (Sim.now sim);
+            model_refresh ()
+          end
+      | Forget p ->
+          Fd.forget fd p;
+          if Hashtbl.mem heard p then begin
+            Hashtbl.remove heard p;
+            model_refresh ()
+          end
+      | Advance dt -> ignore (Sim.run ~until:(Sim.now sim +. dt) sim))
+    ops;
+  let same a b = List.equal (List.equal Proc_id.equal) a b in
+  List.equal Proc_id.equal (Fd.reachable fd) !model_current
+  && same (List.rev !got) (List.rev !expected)
+
+let prop_matches_reference_model =
+  QCheck.Test.make ~name:"reachable set and on_change match a rebuild-always model"
+    ~count:500
+    (QCheck.make ~shrink:QCheck.Shrink.list
+       ~print:(fun ops -> String.concat "; " (List.map op_to_string ops))
+       QCheck.Gen.(list_size (int_range 1 80) gen_op))
+    model_matches
+
 let () =
   Alcotest.run "vs_fd"
     [
@@ -177,5 +257,6 @@ let () =
             test_change_notifications;
           Alcotest.test_case "config validation" `Quick test_config_validation;
           Alcotest.test_case "stop" `Quick test_stop;
+          QCheck_alcotest.to_alcotest prop_matches_reference_model;
         ] );
     ]

@@ -325,6 +325,35 @@ let test_real_tree_certified () =
         (contains ~sub:"zero_alloc_contract" (Lint.read_file bench))
   end
 
+(* D2/D3 resolve typed tables tree-wide: the user file defines no table
+   itself, so only the whole-program pass (which sees the defining file)
+   can flag its enumeration and its bare find. *)
+let test_typed_table_across_files () =
+  let files =
+    played
+      [
+        ("lib/net/d2_tbl_bad.ml", "d2_tbl_bad.ml");
+        ("lib/fd/d2_tbl_user.ml", "d2_tbl_user.ml");
+      ]
+  in
+  let alone =
+    Lint.lint_source ~path:"lib/fd/d2_tbl_user.ml"
+      (List.assoc "lib/fd/d2_tbl_user.ml" files)
+  in
+  check (Alcotest.list Alcotest.string) "file alone: nothing to resolve" []
+    (finding_rules alone);
+  let r = Whole.analyze ~files () in
+  let user =
+    List.filter_map
+      (fun (f : Lint.finding) ->
+        if String.equal f.Lint.file "lib/fd/d2_tbl_user.ml" then
+          Some (Printf.sprintf "%s@%d" f.Lint.rule.Rules.id f.Lint.line)
+        else None)
+      r.Whole.findings
+  in
+  check (Alcotest.list Alcotest.string) "alias and qualified path resolve"
+    [ "D2@5"; "D3@6" ] user
+
 let () =
   Alcotest.run "vs_lint"
     [
@@ -343,6 +372,11 @@ let () =
           Alcotest.test_case "d5_bad" `Quick
             (test_bad ~file:"d5_bad.ml" ~rules:[ "D5"; "D5" ] ~lines:[ 2; 3 ]);
           Alcotest.test_case "d5_bad columns" `Quick test_d5_bad_cols;
+          Alcotest.test_case "d2_tbl_bad" `Quick
+            (test_bad ~file:"d2_tbl_bad.ml" ~rules:[ "D2"; "D2"; "D2"; "D3" ]
+               ~lines:[ 19; 22; 23; 24 ]);
+          Alcotest.test_case "typed table across files" `Quick
+            test_typed_table_across_files;
           Alcotest.test_case "s1_bad" `Quick
             (test_bad ~file:"s1_bad.ml" ~rules:[ "S1"; "D2" ] ~lines:[ 4; 5 ]);
         ] );

@@ -569,13 +569,16 @@ let test_stash_order_during_flush () =
     [ 0; 1 ]
 
 (* The stability floor used to be an assoc-list scan per (member, sender)
-   pair; it is now a table-based fold.  Pin the rewrite against the original
-   List.assoc_opt formulation on random report states. *)
+   pair; it is now a table-based fold over per-member tables that each new
+   report overwrites in place.  Pin both against the original
+   List.assoc_opt formulation, where a member's latest report (in arrival
+   order) is the one that counts. *)
 let stability_floor_reference ~vectors ~members ~sender =
+  let latest = List.rev vectors in
   List.fold_left
     (fun floor member ->
       let reported =
-        match List.assoc_opt member vectors with
+        match List.assoc_opt member latest with
         | None -> 0
         | Some vector -> (
             match List.assoc_opt sender vector with Some n -> n | None -> 0)
@@ -585,32 +588,64 @@ let stability_floor_reference ~vectors ~members ~sender =
 
 let test_stability_floor_matches_reference () =
   let rng = Vs_util.Rng.create 626L in
-  let procs = Array.init 8 Proc_id.initial in
-  for _ = 1 to 300 do
-    let m = 1 + Vs_util.Rng.int rng 8 in
-    let members = List.init m (fun i -> procs.(i)) in
+  (* Nodes 0-3 with two incarnations each: ids sharing a node must not
+     share a table entry. *)
+  let procs =
+    Proc_id.sort (List.init 8 (fun i -> Proc_id.make ~node:(i mod 4) ~inc:(i / 4)))
+  in
+  for _ = 1 to 500 do
+    let members = List.filter (fun _ -> Vs_util.Rng.bool rng 0.6) procs in
+    (* Ascending like every vector the endpoint gossips, or now and then
+       descending, which takes the rebuild path. *)
+    let vector () =
+      let v =
+        List.filter_map
+          (fun s ->
+            if Vs_util.Rng.bool rng 0.7 then Some (s, Vs_util.Rng.int rng 50)
+            else None)
+          procs
+      in
+      if Vs_util.Rng.bool rng 0.2 then List.rev v else v
+    in
+    (* Reports in arrival order: some members never report, others report
+       several times, and a later report may carry fewer senders than the
+       one it replaces. *)
     let vectors =
-      List.filter_map
-        (fun member ->
-          if Vs_util.Rng.bool rng 0.8 then
-            Some
-              ( member,
-                List.filter_map
-                  (fun s ->
-                    if Vs_util.Rng.bool rng 0.7 then
-                      Some (s, Vs_util.Rng.int rng 50)
-                    else None)
-                  members )
-          else None)
-        members
+      List.init (Vs_util.Rng.int rng 12) (fun _ ->
+          let reporter = List.nth procs (Vs_util.Rng.int rng 8) in
+          (reporter, vector ()))
     in
     List.iter
       (fun sender ->
-        check Alcotest.int "floor matches assoc-list reference"
-          (stability_floor_reference ~vectors ~members ~sender)
-          (Endpoint.stability_floor_of ~vectors ~members ~sender))
-      members
-  done
+        let expected = stability_floor_reference ~vectors ~members ~sender in
+        check Alcotest.int "floor matches assoc-list reference" expected
+          (Endpoint.stability_floor_of ~vectors ~members ~sender ());
+        (* The trim's early-exit fold: exact above the watermark, at or
+           below it otherwise. *)
+        let above = Vs_util.Rng.int rng 52 - 1 in
+        let got = Endpoint.stability_floor_of ~above ~vectors ~members ~sender () in
+        check Alcotest.bool "bounded floor agrees above the watermark" true
+          (if expected > above then got = expected else got <= above))
+      procs
+  done;
+  (* The explicit cases. *)
+  let p = Proc_id.initial and q node inc = Proc_id.make ~node ~inc in
+  let floor vectors members sender =
+    Endpoint.stability_floor_of ~vectors ~members ~sender ()
+  in
+  check Alcotest.int "a member that never reported holds the floor at 0" 0
+    (floor [ (p 0, [ (p 0, 4) ]) ] [ p 0; p 1 ] (p 0));
+  check Alcotest.int "a sender missing from a vector reads as 0" 0
+    (floor [ (p 0, [ (p 0, 4) ]); (p 1, [ (p 1, 3) ]) ] [ p 0; p 1 ] (p 1));
+  check Alcotest.int "incarnations of one node are distinct senders" 2
+    (floor
+       [ (p 0, [ (p 2, 9); (q 2 1, 2) ]); (p 1, [ (p 2, 5); (q 2 1, 7) ]) ]
+       [ p 0; p 1 ] (q 2 1));
+  let longer_then_shorter = [ (p 0, [ (p 0, 5); (p 1, 7) ]); (p 0, [ (p 0, 6) ]) ] in
+  check Alcotest.int "a shorter report drops the senders it no longer carries" 0
+    (floor longer_then_shorter [ p 0 ] (p 1));
+  check Alcotest.int "and overwrites the ones it does" 6
+    (floor longer_then_shorter [ p 0 ] (p 0))
 
 (* The NACK retransmission rotation used to pick each round's target with
    List.nth over a freshly filtered peer list; it now indexes a cached
