@@ -13,6 +13,7 @@
    Unknown arguments are rejected with a usage message. *)
 
 module Table = Vs_stats.Table
+module Experiments = Vs_exp.Experiments
 module E_view = Evs_core.E_view
 module Mode = Evs_core.Mode
 module Classify = Evs_core.Classify
@@ -32,34 +33,19 @@ let bench_record : (string * Json.t) list ref = ref []
 
 let exp_walls : (string * float) list ref = ref []
 
-let experiments =
-  [
-    ("e1", "Figure 1: mode-transition matrix", Vs_exp.Exp_modes.tables);
-    ("e2e3", "Figures 2 & 3: enriched-view scenarios", Vs_exp.Exp_figures.tables);
-    ("e4", "Claim C1: one-at-a-time vs batch admission", Vs_exp.Exp_join.tables);
-    ("e5", "Sections 4/6.2: shared-state classification", Vs_exp.Exp_classify.tables);
-    ("e6", "Claim C2: blocking vs two-piece transfer", Vs_exp.Exp_transfer.tables);
-    ("e7", "Example 1: file availability under churn", Vs_exp.Exp_file.tables);
-    ("e8", "Example 2: parallel look-up coverage", Vs_exp.Exp_db.tables);
-    ("e9e10", "Overheads: EVS and flush costs", Vs_exp.Exp_overhead.tables);
-    ("e11", "Loss tolerance: control plane under drop/dup", Vs_exp.Exp_loss.tables);
-    ("t", "Experiment T: sustained-throughput data plane", Vs_exp.Exp_throughput.tables);
-  ]
-
 let run_experiments ~quick ~only =
   List.iter
-    (fun (id, blurb, tables) ->
+    (fun { Experiments.id; blurb; tables } ->
       let selected =
         match only with [] -> true | ids -> List.mem id ids
       in
       if selected then begin
         Printf.printf "### %s — %s\n\n%!" (String.uppercase_ascii id) blurb;
-        let run : ?quick:bool -> unit -> Table.t list = tables in
         let t0 = now_ms () in
-        List.iter Table.print (run ~quick ());
+        List.iter Table.print (tables ~quick ());
         exp_walls := !exp_walls @ [ (id, now_ms () -. t0) ]
       end)
-    experiments
+    Experiments.all
 
 (* ---------- schedule-explorer smoke: a small seed budget on every CI run ---------- *)
 
@@ -336,8 +322,7 @@ let run_obs () =
   let saved = Recorder.default_level () in
   let rows =
     List.map
-      (fun (id, _blurb, tables) ->
-        let run : ?quick:bool -> unit -> Table.t list = tables in
+      (fun { Experiments.id; tables = run; _ } ->
         let measure level =
           Recorder.set_default_level level;
           let t0 = now_ms () in
@@ -354,7 +339,7 @@ let run_obs () =
         let bytes_off, ms_off = measure Recorder.Off in
         let bytes_on, ms_on = measure Recorder.Full in
         (id, bytes_off, bytes_on, ms_off, ms_on))
-      experiments
+      Experiments.all
   in
   Recorder.set_default_level saved;
   (* The obs section's experiment record is the heart of BENCH_obs.json —
@@ -1003,7 +988,7 @@ let () =
   let args =
     match Array.to_list Sys.argv with [] -> [] | _program :: rest -> rest
   in
-  let known_ids = List.map (fun (id, _, _) -> id) experiments in
+  let known_ids = List.map (fun e -> e.Experiments.id) Experiments.all in
   let unknown =
     List.filter
       (fun a ->

@@ -25,9 +25,8 @@ module Lineage = Vs_obs.Lineage
 module Query = Vs_obs.Query
 module Json = Vs_obs.Json
 module Faults = Vs_harness.Faults
-module Oracle = Vs_harness.Oracle
-module Vc = Vs_harness.Vsync_cluster
-module Ec = Vs_harness.Evs_cluster
+module Driver = Vs_harness.Driver
+module Experiments = Vs_exp.Experiments
 module Campaign = Vs_check.Campaign
 module Explorer = Vs_check.Explorer
 module Shrink = Vs_check.Shrink
@@ -101,7 +100,7 @@ let spec_of ~seed ~nodes ~evs ~replay =
       | Ok spec -> spec)
   | None ->
       let protocol =
-        if evs then Vs_harness.Driver.Evs else Vs_harness.Driver.Vsync
+        if evs then Driver.Evs else Driver.Vsync
       in
       Campaign.generate ~protocol ~seed ~nodes ~quick:false ()
 
@@ -121,20 +120,6 @@ let evs_arg =
 
 (* ---------- experiment ---------- *)
 
-let experiments =
-  [
-    ("e1", Vs_exp.Exp_modes.tables);
-    ("e2e3", Vs_exp.Exp_figures.tables);
-    ("e4", Vs_exp.Exp_join.tables);
-    ("e5", Vs_exp.Exp_classify.tables);
-    ("e6", Vs_exp.Exp_transfer.tables);
-    ("e7", Vs_exp.Exp_file.tables);
-    ("e8", Vs_exp.Exp_db.tables);
-    ("e9e10", Vs_exp.Exp_overhead.tables);
-    ("e11", Vs_exp.Exp_loss.tables);
-    ("t", Vs_exp.Exp_throughput.tables);
-  ]
-
 let experiment_cmd =
   let quick =
     Arg.(value & flag & info [ "quick" ] ~doc:"Smaller sweeps (CI-sized).")
@@ -142,7 +127,9 @@ let experiment_cmd =
   let names =
     Arg.(
       value
-      & pos_all (enum (List.map (fun (n, _) -> (n, n)) experiments)) []
+      & pos_all
+          (enum (List.map (fun { Experiments.id; _ } -> (id, id)) Experiments.all))
+          []
       & info [] ~docv:"EXPERIMENT"
           ~doc:
             "Experiments to run (e1 e2e3 e4 e5 e6 e7 e8 e9e10 e11 t); all \
@@ -150,17 +137,13 @@ let experiment_cmd =
              throughput subcommand for those.")
   in
   let run quick names =
-    let selected =
-      match names with
-      | [] -> experiments
-      | names -> List.filter (fun (n, _) -> List.mem n names) experiments
-    in
     List.iter
-      (fun (name, tables) ->
-        Printf.printf "### %s\n\n%!" (String.uppercase_ascii name);
-        let t : ?quick:bool -> unit -> Vs_stats.Table.t list = tables in
-        List.iter Vs_stats.Table.print (t ~quick ()))
-      selected
+      (fun { Experiments.id; tables; _ } ->
+        if names = [] || List.mem id names then begin
+          Printf.printf "### %s\n\n%!" (String.uppercase_ascii id);
+          List.iter Vs_stats.Table.print (tables ~quick ())
+        end)
+      Experiments.all
   in
   Cmd.v
     (Cmd.info "experiment" ~doc:"Regenerate the paper's evaluation tables.")
@@ -177,44 +160,33 @@ let campaign_cmd =
   in
   let run seed nodes duration evs obs_level =
     let seed64 = Int64.of_int seed in
-    let node_list = List.init nodes (fun i -> i) in
-    let script rng =
-      Faults.random_script rng ~nodes:node_list ~start:1.0 ~duration
-        ~mean_gap:0.5 ()
+    let script =
+      Faults.random_script
+        (Vs_util.Rng.create (Int64.add seed64 999L))
+        ~nodes:(List.init nodes (fun i -> i))
+        ~start:1.0 ~duration ~mean_gap:0.5 ()
     in
-    let rng = Vs_util.Rng.create (Int64.add seed64 999L) in
     let obs = Recorder.create ~level:obs_level () in
-    let wrap property detail =
-      { Explain.property; msg = None; procs = []; vids = []; detail }
+    let setup =
+      {
+        Driver.seed = seed64;
+        n = nodes;
+        protocol = (if evs then Driver.Evs else Driver.Vsync);
+        net_config = Vs_net.Net.default_config;
+      }
     in
-    let verdicts, summary =
-      if evs then begin
-        let c = Ec.create ~seed:seed64 ~obs ~n:nodes () in
-        Ec.run_script c (script rng);
-        Ec.pump_traffic c ~start:0.5 ~until:(duration +. 0.5) ~mean_gap:0.03;
-        Ec.run c ~until:(duration +. 4.0);
-        ( List.map Oracle.to_obs_violation (Oracle.all_violations (Ec.oracle c))
-          @ List.map (wrap Explain.Evs_total_order) (Ec.check_total_order c)
-          @ List.map (wrap Explain.Evs_structure) (Ec.check_structure c),
-          Printf.sprintf
-            "deliveries=%d installs=%d distinct-views=%d e-view-changes=%d"
-            (Oracle.total_deliveries (Ec.oracle c))
-            (Oracle.total_installs (Ec.oracle c))
-            (Oracle.distinct_views (Ec.oracle c))
-            (Ec.eview_changes_total c) )
-      end
-      else begin
-        let c = Vc.create ~seed:seed64 ~obs ~n:nodes () in
-        Vc.run_script c (script rng);
-        Vc.pump_traffic c ~start:0.5 ~until:(duration +. 0.5) ~mean_gap:0.03;
-        Vc.run c ~until:(duration +. 4.0);
-        ( List.map Oracle.to_obs_violation (Oracle.all_violations (Vc.oracle c)),
-          Printf.sprintf "deliveries=%d installs=%d distinct-views=%d stable=%b"
-            (Oracle.total_deliveries (Vc.oracle c))
-            (Oracle.total_installs (Vc.oracle c))
-            (Oracle.distinct_views (Vc.oracle c))
-            (Vc.stable_view_reached c) )
-      end
+    let traffic =
+      { Driver.tr_start = 0.5; tr_until = duration +. 0.5; tr_gap = 0.03 }
+    in
+    let o =
+      Driver.run_schedule ~traffic ~obs setup ~script ~until:(duration +. 4.0)
+    in
+    let verdicts = o.Driver.verdicts in
+    let summary =
+      Printf.sprintf "deliveries=%d installs=%d distinct-views=%d %s"
+        o.Driver.deliveries o.Driver.installs o.Driver.distinct_views
+        (if evs then Printf.sprintf "e-view-changes=%d" o.Driver.eview_changes
+         else Printf.sprintf "stable=%b" o.Driver.stable)
     in
     Printf.printf "campaign: seed=%d nodes=%d duration=%.1fs %s\n" seed nodes
       duration
@@ -353,7 +325,7 @@ let check_cmd =
         (* Representative metrics: re-run the first seed's VS campaign with
            recording on. *)
         let spec =
-          Campaign.generate ~protocol:Vs_harness.Driver.Vsync ~transient
+          Campaign.generate ~protocol:Driver.Vsync ~transient
             ~seed:start_seed ~nodes ~quick ()
         in
         let obs = Recorder.create ~level:Recorder.Protocol () in

@@ -1,5 +1,6 @@
 module Faults = Vs_harness.Faults
 module Driver = Vs_harness.Driver
+module Listx = Vs_util.Listx
 
 (* ---------- minimal s-expressions (no parser dependency available) ---------- *)
 
@@ -190,6 +191,49 @@ let action_of_sexp = function
       Faults.Corrupt (as_int node, c)
   | s -> fail "unknown action %S" (sexp_to_string s)
 
+let known_fields =
+  [ "seed"; "protocol"; "nodes"; "loss"; "dup"; "delay-min"; "delay-max";
+    "traffic-gap"; "traffic-until"; "horizon"; "transient"; "script" ]
+
+(* Reject what would only fail later, inside the replay: an empty universe,
+   probabilities outside [0, 1], delay bounds Net.create refuses, negative
+   or non-finite times, and fault targets outside the node range. *)
+let validate (spec : Campaign.spec) =
+  let n = spec.Campaign.nodes in
+  if n < 1 then fail "nodes must be at least 1, got %d" n;
+  let k = spec.Campaign.knobs in
+  let probability name p =
+    if not (p >= 0. && p <= 1.) then fail "%s must lie in [0, 1], got %g" name p
+  in
+  probability "loss" k.Campaign.loss_prob;
+  probability "dup" k.Campaign.dup_prob;
+  let lo = k.Campaign.delay_min and hi = k.Campaign.delay_max in
+  if not (lo >= 0. && lo <= hi) then
+    fail "need 0 <= delay-min <= delay-max, got %g and %g" lo hi;
+  let time what t =
+    if not (Float.is_finite t && t >= 0.) then
+      fail "%s must be finite and non-negative, got %g" what t
+  in
+  time "horizon" spec.Campaign.horizon;
+  let node action x =
+    if x < 0 || x >= n then
+      fail "%s targets node %d outside [0, %d)" (Faults.to_string action) x n
+  in
+  List.iter
+    (fun (t, action) ->
+      time "script time" t;
+      match action with
+      | Faults.Heal -> ()
+      | Faults.Crash x | Faults.Recover x -> node action x
+      | Faults.Partition comps -> List.iter (List.iter (node action)) comps
+      | Faults.Corrupt (x, c) -> (
+          node action x;
+          match c with
+          | Faults.Stability_smear (m, _) | Faults.Deps_truncate (m, _) ->
+              node action m
+          | Faults.Seq_skew _ | Faults.View_skew _ -> ()))
+    spec.Campaign.script
+
 let spec_of_sexp sexp =
   let fields =
     match sexp with
@@ -201,6 +245,12 @@ let spec_of_sexp sexp =
           items
     | Atom _ -> fail "expected a field list"
   in
+  List.iteri
+    (fun i (name, _) ->
+      if not (List.mem name known_fields) then fail "unknown field %S" name;
+      if List.exists (fun (n, _) -> String.equal n name) (Listx.take i fields)
+      then fail "duplicate field %S" name)
+    fields;
   let get name =
     match List.assoc_opt name fields with
     | Some v -> v
@@ -250,11 +300,16 @@ let spec_of_sexp sexp =
     transient =
       (match List.assoc_opt "transient" fields with
       | Some (Atom "true") -> true
-      | Some _ | None -> false);
+      | Some (Atom "false") | None -> false
+      | Some s -> fail "bad transient flag %S" (sexp_to_string s));
   }
 
 let of_string text =
-  match spec_of_sexp (parse_sexp text) with
+  match
+    let spec = spec_of_sexp (parse_sexp text) in
+    validate spec;
+    spec
+  with
   | spec -> Ok spec
   | exception Parse_error msg -> Error msg
 

@@ -25,6 +25,11 @@
 val to_string : Campaign.spec -> string
 
 val of_string : string -> (Campaign.spec, string) result
+(** [Error] on malformed text, and on an artifact the replay could not run:
+    unknown or repeated fields, fewer than 1 node, loss or dup outside
+    [0, 1], delay bounds other than [0 <= delay-min <= delay-max], a
+    negative or non-finite horizon or script time, or a fault naming a node
+    outside [0, nodes). *)
 
 val filename : Campaign.spec -> string
 (** Canonical artifact name: [<protocol>-seed<seed>-n<nodes>.sexp]. *)

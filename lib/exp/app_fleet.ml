@@ -3,87 +3,41 @@ module View = Vs_gms.View
 module Mode = Evs_core.Mode
 module Classify = Evs_core.Classify
 module History = Evs_core.History
-module Faults = Vs_harness.Faults
+module Fleet = Vs_harness.Fleet
 module Sim = Vs_sim.Sim
 module Rng = Vs_util.Rng
 
 type 'app t = {
+  fleet : 'app Fleet.t;
   nodes : int list;
-  make : node:int -> inc:int -> 'app;
-  kill : 'app -> unit;
-  is_alive : 'app -> bool;
   me : 'app -> Proc_id.t;
   history : 'app -> History.t;
-  current : (int, 'app) Hashtbl.t;     (* node -> live instance *)
-  next_inc : (int, int) Hashtbl.t;
-  mutable rev_all : 'app list;
+  rev_all : 'app list ref;  (* every instance ever booted, newest first *)
 }
 
-let boot t node =
-  let inc = Option.value ~default:0 (Hashtbl.find_opt t.next_inc node) in
-  Hashtbl.replace t.next_inc node (inc + 1);
-  let app = t.make ~node ~inc in
-  Hashtbl.replace t.current node app;
-  t.rev_all <- app :: t.rev_all
-
-let create ~sim:_ ~nodes ~make ~kill ~is_alive ~me ~history =
-  let t =
-    {
-      nodes;
-      make;
-      kill;
-      is_alive;
-      me;
-      history;
-      current = Hashtbl.create 16;
-      next_inc = Hashtbl.create 16;
-      rev_all = [];
-    }
+let create ~sim ~nodes ~make ~kill ~is_alive ~me ~history =
+  let rev_all = ref [] in
+  let boot (p : Proc_id.t) =
+    let app = make ~node:p.Proc_id.node ~inc:p.Proc_id.inc in
+    rev_all := app :: !rev_all;
+    app
   in
-  List.iter (boot t) nodes;
-  t
+  let fleet = Fleet.create sim ~nodes ~boot ~kill ~is_alive ~me () in
+  { fleet; nodes; me; history; rev_all }
 
-let live t =
-  List.filter_map
-    (fun node ->
-      match Hashtbl.find_opt t.current node with
-      | Some app when t.is_alive app -> Some app
-      | Some _ | None -> None)
-    t.nodes
+let live t = Fleet.live t.fleet
 
-let on_node t node =
-  match Hashtbl.find_opt t.current node with
-  | Some app when t.is_alive app -> Some app
-  | Some _ | None -> None
+let on_node t node = Fleet.on_node t.fleet node
 
-let all_ever t = List.rev t.rev_all
+let all_ever t = List.rev !(t.rev_all)
 
 let history_of t proc =
   List.find_map
     (fun app ->
       if Proc_id.equal (t.me app) proc then Some (t.history app) else None)
-    t.rev_all
+    !(t.rev_all)
 
-let apply_action t action net_action =
-  match action with
-  | Faults.Partition _ | Faults.Heal -> net_action action
-  | Faults.Crash node -> (
-      match on_node t node with
-      | Some app ->
-          t.kill app;
-          Hashtbl.remove t.current node
-      | None -> ())
-  | Faults.Recover node -> (
-      match on_node t node with Some _ -> () | None -> boot t node)
-  (* Corruptions target Endpoint internals; the experiment fleets are typed
-     over an abstract app and run throughput experiments, not the
-     stabilization oracle, so the action is a no-op here. *)
-  | Faults.Corrupt _ -> ()
-
-let run_script t sim script ~net_action =
-  Faults.schedule sim script ~apply:(fun action ->
-      Sim.record sim ~component:"faults" (Faults.to_string action);
-      apply_action t action net_action)
+let run_script t ~net script = Fleet.run_script t.fleet ~net script
 
 (* ---------- open-loop load generation ---------- *)
 

@@ -1,9 +1,9 @@
 (** Fleets of application instances under fault scripts — shared driver for
     the application-level experiments (E1, E5, E7, E8).
 
-    A fleet tracks every instance ever created (dead incarnations included),
-    so post-hoc analysis can read any process's history, and interprets
-    fault-script actions by killing and re-creating instances. *)
+    A {!Vs_harness.Fleet} of apps that also remembers every instance ever
+    booted, dead incarnations included, so post-hoc analysis can read any
+    process's history. *)
 
 module Proc_id = Vs_net.Proc_id
 module History = Evs_core.History
@@ -20,7 +20,9 @@ val create :
   history:('app -> History.t) ->
   'app t
 (** [make] boots an instance (it must register itself on the fleet's
-    network); initial incarnations are created immediately. *)
+    network); initial incarnations are created immediately.  Incarnations
+    are numbered by the fleet (0, 1, 2, … per node) and fault scripts are
+    scheduled on [sim]. *)
 
 val live : 'app t -> 'app list
 
@@ -31,13 +33,11 @@ val all_ever : 'app t -> 'app list
 val history_of : 'app t -> Proc_id.t -> History.t option
 (** History of any process identity that ever existed in the fleet. *)
 
-val apply_action : 'app t -> Vs_harness.Faults.action -> (Vs_harness.Faults.action -> unit) -> unit
-(** Interpret crash/recover (partitions/heals are delegated to the given
-    network handler). *)
-
-val run_script :
-  'app t -> Vs_sim.Sim.t -> Vs_harness.Faults.script ->
-  net_action:(Vs_harness.Faults.action -> unit) -> unit
+val run_script : 'app t -> net:'m Vs_net.Net.t -> Vs_harness.Faults.script -> unit
+(** {!Vs_harness.Fleet.run_script}: crashes and recoveries kill and re-boot
+    instances, partitions and heals go to [net], corruptions are ignored
+    (they target endpoint internals, and the app experiments do not run
+    the stabilization oracle). *)
 
 (** {2 Open-loop load generation} *)
 

@@ -127,10 +127,7 @@ let kv_campaign ?(config = Endpoint.default_config) ~seed ~duration () =
   let script =
     Faults.random_script rng ~nodes:universe ~start:1.0 ~duration ~mean_gap:0.5 ()
   in
-  App_fleet.run_script fleet sim script ~net_action:(function
-    | Faults.Partition comps -> Net.set_partition net comps
-    | Faults.Heal -> Net.heal net
-    | Faults.Crash _ | Faults.Recover _ | Faults.Corrupt _ -> ());
+  App_fleet.run_script fleet ~net script;
   let rec pump time =
     if time < duration then begin
       ignore
@@ -176,10 +173,7 @@ let file_campaign ?(config = Endpoint.default_config) ~seed ~duration () =
   let script =
     Faults.random_script rng ~nodes:universe ~start:1.0 ~duration ~mean_gap:0.5 ()
   in
-  App_fleet.run_script fleet sim script ~net_action:(function
-    | Faults.Partition comps -> Net.set_partition net comps
-    | Faults.Heal -> Net.heal net
-    | Faults.Crash _ | Faults.Recover _ | Faults.Corrupt _ -> ());
+  App_fleet.run_script fleet ~net script;
   let rec pump time =
     if time < duration then begin
       ignore

@@ -65,10 +65,7 @@ let run_campaign ~seed ~gate ~duration ~keyspace =
   let script =
     Faults.random_script rng ~nodes:universe ~start:0.8 ~duration ~mean_gap:0.6 ()
   in
-  App_fleet.run_script fleet sim script ~net_action:(function
-    | Faults.Partition comps -> Net.set_partition net comps
-    | Faults.Heal -> Net.heal net
-    | Faults.Crash _ | Faults.Recover _ | Faults.Corrupt _ -> ());
+  App_fleet.run_script fleet ~net script;
   let rec query_pump time =
     if time < duration then begin
       ignore

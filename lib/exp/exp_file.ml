@@ -50,10 +50,7 @@ let run_churn ~seed ~mean_gap ~duration =
     Faults.random_script rng ~nodes:universe ~start:0.5 ~duration ~mean_gap
       ~crash_weight:0.2 ~partition_weight:2.0 ()
   in
-  App_fleet.run_script fleet sim script ~net_action:(function
-    | Faults.Partition comps -> Net.set_partition net comps
-    | Faults.Heal -> Net.heal net
-    | Faults.Crash _ | Faults.Recover _ | Faults.Corrupt _ -> ());
+  App_fleet.run_script fleet ~net script;
   (* Steady trickle of writes so staleness is observable. *)
   let rec write_pump time =
     if time < duration then begin

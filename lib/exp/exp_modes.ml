@@ -43,11 +43,7 @@ let run_campaign ~seed ~n ~duration =
     Faults.random_script rng ~nodes:universe ~start:1.0 ~duration
       ~mean_gap:0.4 ()
   in
-  App_fleet.run_script fleet sim script ~net_action:(fun action ->
-      match action with
-      | Faults.Partition comps -> Net.set_partition net comps
-      | Faults.Heal -> Net.heal net
-      | Faults.Crash _ | Faults.Recover _ | Faults.Corrupt _ -> ());
+  App_fleet.run_script fleet ~net script;
   (* Background writes keep the object exercised. *)
   let rec pump time =
     if time < duration +. 1.0 then begin

@@ -156,15 +156,7 @@ let run_merge ?(stability = true) ~n ~backlog () =
   let heal_time = Sim.now (Vc.sim c) in
   Vc.apply_action c Faults.Heal;
   let deadline = heal_time +. 5.0 in
-  let rec wait () =
-    if Vc.stable_view_reached c then Sim.now (Vc.sim c)
-    else if Sim.now (Vc.sim c) >= deadline then infinity
-    else begin
-      Vc.run c ~until:(Sim.now (Vc.sim c) +. 0.02);
-      wait ()
-    end
-  in
-  let stable_at = wait () in
+  let stable_at = Vc.run_until_stable c ~step:0.02 ~deadline in
   let stats_after = Vc.net_stats c in
   ( stable_at -. heal_time,
     stats_after.Net.sent - stats_before.Net.sent,

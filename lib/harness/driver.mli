@@ -1,12 +1,14 @@
 (** Uniform run-one-schedule entry point over both cluster harnesses.
 
-    The schedule explorer (lib/check), the CLI and the tests all need the
-    same shape of run: boot a cluster on a configured network, schedule a
-    fault script and background traffic, run to a horizon, then collect
-    every checkable property violation plus the run's head-line counters.
-    This module provides that shape once, for plain view synchrony
-    ({!Vsync_cluster}) and enriched view synchrony ({!Evs_cluster}) alike,
-    so callers never branch on the protocol.
+    The schedule explorer (lib/check), the CLI ([vscli campaign] included)
+    and the tests all need the same shape of run: boot a cluster on a
+    configured network, schedule a fault script and background traffic, run
+    to a horizon, then collect every checkable property violation plus the
+    run's head-line counters.  {!run_schedule} is the one body of that shape,
+    for plain view synchrony ({!Vsync_cluster}) and enriched view synchrony
+    ({!Evs_cluster}) alike — both clusters are built on one {!Fleet} — so
+    callers never branch on the protocol; the protocols differ only in the
+    checks they add.
 
     EVS runs are checked against strictly more properties: on top of the
     Section 2 oracle checks they get Property 6.1 (total order of e-view
@@ -57,8 +59,7 @@ type outcome = {
   events : int;         (** simulator events processed *)
   stable : bool;
       (** all live members converged on one final view covering the live
-          nodes (the {!Vsync_cluster.stable_view_reached} condition; the
-          analogous check over live EVS handles for enriched runs) *)
+          nodes and none is flushing ({!Fleet.stable_view}) *)
   quarantine : quarantine option;
       (** [Some _] iff the script injected transient corruptions: verdicts
           were filtered through {!Oracle.stabilization} (recovery-window

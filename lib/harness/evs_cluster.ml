@@ -15,22 +15,20 @@ type eview_record = {
   er_cause : string;
 }
 
-type node_state = {
-  mutable evs : (Oracle.msg_id, unit) Evs.t option;
-  mutable prior_vid : View.Id.t;
-  mutable send_index : int;
+(* What every process saw, newest first, and the within-view e-view change
+   count: written by the endpoints' callbacks as the fleet boots them. *)
+type log = {
+  mutable rev_records : eview_record list;
+  mutable echanges : int;
 }
 
 type t = {
   sim : Sim.t;
   net : (Oracle.msg_id, unit) Evs.net;
-  config : Endpoint.config;
   oracle : Oracle.t;
   rng : Rng.t;
-  universe : int list;
-  nodes : (int, node_state) Hashtbl.t;
-  mutable rev_records : eview_record list;
-  mutable echanges : int;
+  log : log;
+  fleet : (Oracle.msg_id, unit) Evs.t Fleet.t;
 }
 
 let sim t = t.sim
@@ -39,54 +37,10 @@ let oracle t = t.oracle
 
 let net_stats t = Net.stats t.net
 
-let node_state t node =
-  match Hashtbl.find_opt t.nodes node with
-  | Some st -> st
-  | None -> invalid_arg (Printf.sprintf "Evs_cluster: unknown node %d" node)
-
 let cause_string = function
   | Evs.View_change -> "view"
   | Evs.Svset_merged id -> "svset-merge " ^ E_view.Svset_id.to_string id
   | Evs.Subview_merged id -> "subview-merge " ^ E_view.Subview_id.to_string id
-
-let boot t node =
-  let st = node_state t node in
-  assert (st.evs = None);
-  let me = Net.fresh_incarnation t.net node in
-  let handle = ref None in
-  let callbacks =
-    {
-      Evs.on_eview =
-        (fun ev ->
-          t.rev_records <-
-            {
-              er_proc = me;
-              er_time = Sim.now t.sim;
-              er_eview = ev.Evs.eview;
-              er_cause = cause_string ev.Evs.cause;
-            }
-            :: t.rev_records;
-          match ev.Evs.cause with
-          | Evs.View_change ->
-              Oracle.record_install t.oracle ~proc:me
-                ~view:ev.Evs.eview.E_view.view ~prior:st.prior_vid
-                ~time:(Sim.now t.sim);
-              st.prior_vid <- ev.Evs.eview.E_view.view.View.id
-          | Evs.Svset_merged _ | Evs.Subview_merged _ ->
-              t.echanges <- t.echanges + 1);
-      on_message =
-        (fun ~sender:_ msg_id ->
-          match !handle with
-          | Some e ->
-              Oracle.record_delivery t.oracle ~proc:me
-                ~vid:(Evs.view e).View.id msg_id ~time:(Sim.now t.sim)
-          | None -> ());
-    }
-  in
-  st.prior_vid <- View.Id.initial me;
-  let e = Evs.create t.sim t.net ~me ~universe:t.universe ~config:t.config ~callbacks in
-  handle := Some e;
-  st.evs <- Some e
 
 let create ?(seed = 1L) ?obs ?(net_config = Net.default_config)
     ?(config = Endpoint.default_config) ~n () =
@@ -96,109 +50,83 @@ let create ?(seed = 1L) ?obs ?(net_config = Net.default_config)
       ~ident:(fun (m : Oracle.msg_id) -> Some (Oracle.msg_id_to_obs m))
       sim net_config
   in
+  let oracle = Oracle.create () in
+  let rng = Sim.fork_rng sim in
+  let log = { rev_records = []; echanges = 0 } in
   let universe = List.init n (fun i -> i) in
-  let t =
-    {
-      sim;
-      net;
-      config;
-      oracle = Oracle.create ();
-      rng = Sim.fork_rng sim;
-      universe;
-      nodes = Hashtbl.create 16;
-      rev_records = [];
-      echanges = 0;
-    }
+  let boot me =
+    let prior = ref (View.Id.initial me) in
+    let handle = ref None in
+    let callbacks =
+      {
+        Evs.on_eview =
+          (fun ev ->
+            log.rev_records <-
+              {
+                er_proc = me;
+                er_time = Sim.now sim;
+                er_eview = ev.Evs.eview;
+                er_cause = cause_string ev.Evs.cause;
+              }
+              :: log.rev_records;
+            match ev.Evs.cause with
+            | Evs.View_change ->
+                Oracle.record_install oracle ~proc:me
+                  ~view:ev.Evs.eview.E_view.view ~prior:!prior
+                  ~time:(Sim.now sim);
+                prior := ev.Evs.eview.E_view.view.View.id
+            | Evs.Svset_merged _ | Evs.Subview_merged _ ->
+                log.echanges <- log.echanges + 1);
+        on_message =
+          (fun ~sender:_ msg_id ->
+            match !handle with
+            | Some e ->
+                Oracle.record_delivery oracle ~proc:me
+                  ~vid:(Evs.view e).View.id msg_id ~time:(Sim.now sim)
+            | None -> ());
+      }
+    in
+    let e = Evs.create sim net ~me ~universe ~config ~callbacks in
+    handle := Some e;
+    e
   in
-  List.iter
-    (fun node ->
-      Hashtbl.replace t.nodes node
-        {
-          evs = None;
-          prior_vid = View.Id.initial (Proc_id.initial node);
-          send_index = 0;
-        };
-      boot t node)
-    universe;
-  t
+  let corrupt e c =
+    let field = Evs.corrupt e c in
+    Oracle.record_corruption oracle ~proc:(Evs.me e) ~field ~time:(Sim.now sim)
+  in
+  let fleet =
+    Fleet.create sim ~nodes:universe ~incarnation:(Net.fresh_incarnation net)
+      ~boot ~kill:Evs.kill ~is_alive:Evs.is_alive ~me:Evs.me ~corrupt ()
+  in
+  { sim; net; oracle; rng; log; fleet }
 
 let run t ~until = ignore (Sim.run ~until t.sim)
 
-let live t =
-  List.filter_map
-    (fun node ->
-      match (node_state t node).evs with
-      | Some e when Evs.is_alive e -> Some e
-      | Some _ | None -> None)
-    t.universe
+let live t = Fleet.live t.fleet
 
-let evs_on t node =
-  match (node_state t node).evs with
-  | Some e when Evs.is_alive e -> Some e
-  | Some _ | None -> None
+let evs_on t node = Fleet.on_node t.fleet node
+
+let send t e ?order () =
+  Evs.multicast e ?order
+    (Oracle.record_multicast t.oracle ~sender:(Evs.me e) ?order ())
 
 let multicast_from t ~node ?order () =
-  match evs_on t node with
-  | Some e ->
-      let st = node_state t node in
-      let msg_id = { Oracle.m_sender = Evs.me e; m_index = st.send_index } in
-      st.send_index <- st.send_index + 1;
-      let order_class =
-        match order with Some Endpoint.Total -> `Total | _ -> `Fifo
-      in
-      Oracle.record_send t.oracle ~order:order_class msg_id;
-      Evs.multicast e ?order msg_id
-  | None -> ()
+  match evs_on t node with Some e -> send t e ?order () | None -> ()
 
-let apply_action t action =
-  match action with
-  | Faults.Partition comps -> Net.set_partition t.net comps
-  | Faults.Heal -> Net.heal t.net
-  | Faults.Crash node -> (
-      match evs_on t node with
-      | Some e ->
-          Evs.kill e;
-          (node_state t node).evs <- None
-      | None -> ())
-  | Faults.Recover node ->
-      let st = node_state t node in
-      (match st.evs with
-      | Some e when Evs.is_alive e -> ()
-      | Some _ | None ->
-          st.evs <- None;
-          boot t node)
-  | Faults.Corrupt (node, c) -> (
-      match evs_on t node with
-      | Some e ->
-          let field = Evs.corrupt e c in
-          Oracle.record_corruption t.oracle ~proc:(Evs.me e) ~field
-            ~time:(Sim.now t.sim)
-      | None -> ())
+let apply_action t action = Fleet.apply t.fleet ~net:t.net action
 
-let run_script t script =
-  Faults.schedule t.sim script ~apply:(fun action ->
-      Sim.record t.sim ~component:"faults" (Faults.to_string action);
-      apply_action t action)
+let run_script t script = Fleet.run_script t.fleet ~net:t.net script
 
 let pump_traffic t ~start ~until ~mean_gap =
-  let rec arm time =
-    let time = time +. Rng.exponential t.rng mean_gap in
-    if time < until then begin
-      ignore
-        (Sim.at t.sim time (fun () ->
-             let node = Rng.pick t.rng t.universe in
-             let order =
-               if Rng.bool t.rng 0.2 then Endpoint.Total else Endpoint.Fifo
-             in
-             multicast_from t ~node ~order ()));
-      arm time
-    end
-  in
-  arm start
+  Fleet.pump_traffic t.fleet ~rng:t.rng ~start ~until ~mean_gap
+    ~multicast:(fun e order -> send t e ~order ())
 
-let eview_records t = List.rev t.rev_records
+let stable_view_reached t =
+  Fleet.stable_view t.fleet ~view:Evs.view ~blocked:Evs.is_blocked
 
-let eview_changes_total t = t.echanges
+let eview_records t = List.rev t.log.rev_records
+
+let eview_changes_total t = t.log.echanges
 
 (* Property 6.1: within one view, every process records the same sequence
    of e-view changes — match records by (view id, eseq) and require equal

@@ -1,5 +1,5 @@
-(** A cluster of enriched-view-synchrony endpoints under observation, with
-    checkers for the Section 6 properties.
+(** A cluster of enriched-view-synchrony endpoints under observation, one
+    per node of a {!Fleet}, with checkers for the Section 6 properties.
 
     Records every e-view event at every process.  The checkers:
 
@@ -49,6 +49,12 @@ val apply_action : t -> Faults.action -> unit
 val run_script : t -> Faults.script -> unit
 
 val pump_traffic : t -> start:float -> until:float -> mean_gap:float -> unit
+(** {!Fleet.pump_traffic} from the traffic RNG the cluster forks before
+    booting, as in {!Vsync_cluster}. *)
+
+val stable_view_reached : t -> bool
+(** All live handles share one installed view covering all live nodes and
+    are not flushing ({!Fleet.stable_view}). *)
 
 type eview_record = {
   er_proc : Proc_id.t;

@@ -45,6 +45,7 @@ type t = {
   mutable n_deliveries : int;
   mutable n_installs : int;
   mutable corruptions : (Proc_id.t * string * float) list;  (* newest first *)
+  next_index : (int, int) Hashtbl.t;  (* node -> next multicast number *)
 }
 
 let create () =
@@ -55,6 +56,7 @@ let create () =
     n_deliveries = 0;
     n_installs = 0;
     corruptions = [];
+    next_index = Hashtbl.create 16;
   }
 
 let bucket tbl key =
@@ -66,6 +68,17 @@ let bucket tbl key =
       r
 
 let record_send t ?(order = `Fifo) msg_id = Hashtbl.replace t.sends msg_id order
+
+let record_multicast t ~sender ?order () =
+  let node = sender.Proc_id.node in
+  let index = Option.value ~default:0 (Hashtbl.find_opt t.next_index node) in
+  Hashtbl.replace t.next_index node (index + 1);
+  let msg_id = { m_sender = sender; m_index = index } in
+  let order =
+    match order with Some Vs_vsync.Endpoint.Total -> `Total | _ -> `Fifo
+  in
+  record_send t ~order msg_id;
+  msg_id
 
 let record_delivery t ~proc ~vid msg_id ~time =
   let b = bucket t.deliveries proc in

@@ -40,6 +40,12 @@ val create : unit -> t
 val record_send : t -> ?order:[ `Fifo | `Total ] -> msg_id -> unit
 (** Default [`Fifo]. *)
 
+val record_multicast :
+  t -> sender:Proc_id.t -> ?order:Vs_vsync.Endpoint.order -> unit -> msg_id
+(** Number [sender]'s next multicast and record its send ([Total] order
+    as [`Total], anything else as [`Fifo]).  Numbering is per node and runs
+    on across incarnations. *)
+
 val record_delivery :
   t -> proc:Proc_id.t -> vid:View.Id.t -> msg_id -> time:float -> unit
 

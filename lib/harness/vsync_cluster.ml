@@ -1,26 +1,15 @@
 module Sim = Vs_sim.Sim
 module Net = Vs_net.Net
-module Proc_id = Vs_net.Proc_id
 module View = Vs_gms.View
 module Endpoint = Vs_vsync.Endpoint
 module Rng = Vs_util.Rng
-module Listx = Vs_util.Listx
-
-type node_state = {
-  mutable endpoint : (Oracle.msg_id, unit) Endpoint.t option;
-  mutable prior_vid : View.Id.t;   (* last installed view of the live proc *)
-  mutable send_index : int;        (* per-node message numbering *)
-  mutable installs : int;          (* cumulative across incarnations *)
-}
 
 type t = {
   sim : Sim.t;
   net : (Oracle.msg_id, unit) Vs_vsync.Wire.t Net.t;
-  config : Endpoint.config;
   oracle : Oracle.t;
   rng : Rng.t;
-  universe : int list;
-  nodes : (int, node_state) Hashtbl.t;
+  fleet : (Oracle.msg_id, unit) Endpoint.t Fleet.t;
 }
 
 let sim t = t.sim
@@ -28,41 +17,6 @@ let sim t = t.sim
 let oracle t = t.oracle
 
 let net_stats t = Net.stats t.net
-
-let node_state t node =
-  match Hashtbl.find_opt t.nodes node with
-  | Some st -> st
-  | None -> invalid_arg (Printf.sprintf "Vsync_cluster: unknown node %d" node)
-
-let boot t node =
-  let st = node_state t node in
-  assert (st.endpoint = None);
-  let me = Net.fresh_incarnation t.net node in
-  let endpoint = ref None in
-  let callbacks =
-    {
-      Endpoint.on_view =
-        (fun ev ->
-          Oracle.record_install t.oracle ~proc:me ~view:ev.Endpoint.view
-            ~prior:st.prior_vid ~time:(Sim.now t.sim);
-          st.prior_vid <- ev.Endpoint.view.View.id;
-          st.installs <- st.installs + 1);
-      on_message =
-        (fun ~sender:_ msg_id ->
-          match !endpoint with
-          | Some ep ->
-              Oracle.record_delivery t.oracle ~proc:me
-                ~vid:(Endpoint.view ep).View.id msg_id ~time:(Sim.now t.sim)
-          | None -> ());
-    }
-  in
-  st.prior_vid <- View.Id.initial me;
-  let ep =
-    Endpoint.create t.sim t.net ~me ~universe:t.universe ~config:t.config
-      ~callbacks
-  in
-  endpoint := Some ep;
-  st.endpoint <- Some ep
 
 let create ?(seed = 1L) ?obs ?(net_config = Net.default_config)
     ?(config = Endpoint.default_config) ~n () =
@@ -79,105 +33,64 @@ let create ?(seed = 1L) ?obs ?(net_config = Net.default_config)
     Net.create ~size_of ~describe:Vs_vsync.Wire.kind ~ident ~idents sim
       net_config
   in
+  let oracle = Oracle.create () in
+  let rng = Sim.fork_rng sim in
   let universe = List.init n (fun i -> i) in
-  let t =
-    {
-      sim;
-      net;
-      config;
-      oracle = Oracle.create ();
-      rng = Sim.fork_rng sim;
-      universe;
-      nodes = Hashtbl.create 16;
-    }
+  let boot me =
+    let prior = ref (View.Id.initial me) in
+    let endpoint = ref None in
+    let callbacks =
+      {
+        Endpoint.on_view =
+          (fun ev ->
+            Oracle.record_install oracle ~proc:me ~view:ev.Endpoint.view
+              ~prior:!prior ~time:(Sim.now sim);
+            prior := ev.Endpoint.view.View.id);
+        on_message =
+          (fun ~sender:_ msg_id ->
+            match !endpoint with
+            | Some ep ->
+                Oracle.record_delivery oracle ~proc:me
+                  ~vid:(Endpoint.view ep).View.id msg_id ~time:(Sim.now sim)
+            | None -> ());
+      }
+    in
+    let ep = Endpoint.create sim net ~me ~universe ~config ~callbacks in
+    endpoint := Some ep;
+    ep
   in
-  List.iter
-    (fun node ->
-      Hashtbl.replace t.nodes node
-        {
-          endpoint = None;
-          prior_vid = View.Id.initial (Proc_id.initial node);
-          send_index = 0;
-          installs = 0;
-        };
-      boot t node)
-    universe;
-  t
+  let corrupt ep c =
+    let field = Endpoint.corrupt ep c in
+    Oracle.record_corruption oracle ~proc:(Endpoint.me ep) ~field
+      ~time:(Sim.now sim)
+  in
+  let fleet =
+    Fleet.create sim ~nodes:universe ~incarnation:(Net.fresh_incarnation net)
+      ~boot ~kill:Endpoint.kill ~is_alive:Endpoint.is_alive ~me:Endpoint.me
+      ~corrupt ()
+  in
+  { sim; net; oracle; rng; fleet }
 
 let run t ~until = ignore (Sim.run ~until t.sim)
 
-let live_endpoints t =
-  List.filter_map
-    (fun node ->
-      match (node_state t node).endpoint with
-      | Some ep when Endpoint.is_alive ep -> Some ep
-      | Some _ | None -> None)
-    t.universe
+let live_endpoints t = Fleet.live t.fleet
 
-let endpoint_on t node =
-  match (node_state t node).endpoint with
-  | Some ep when Endpoint.is_alive ep -> Some ep
-  | Some _ | None -> None
+let endpoint_on t node = Fleet.on_node t.fleet node
+
+let send t ep ?order () =
+  Endpoint.multicast ep ?order
+    (Oracle.record_multicast t.oracle ~sender:(Endpoint.me ep) ?order ())
 
 let multicast_from t ~node ?order () =
-  match endpoint_on t node with
-  | Some ep ->
-      let st = node_state t node in
-      let msg_id =
-        { Oracle.m_sender = Endpoint.me ep; m_index = st.send_index }
-      in
-      st.send_index <- st.send_index + 1;
-      let order_class =
-        match order with Some Endpoint.Total -> `Total | _ -> `Fifo
-      in
-      Oracle.record_send t.oracle ~order:order_class msg_id;
-      Endpoint.multicast ep ?order msg_id
-  | None -> ()
+  match endpoint_on t node with Some ep -> send t ep ?order () | None -> ()
 
-let apply_action t action =
-  match action with
-  | Faults.Partition comps -> Net.set_partition t.net comps
-  | Faults.Heal -> Net.heal t.net
-  | Faults.Crash node -> (
-      match endpoint_on t node with
-      | Some ep ->
-          Endpoint.kill ep;
-          (node_state t node).endpoint <- None
-      | None -> ())
-  | Faults.Recover node ->
-      let st = node_state t node in
-      (match st.endpoint with
-      | Some ep when Endpoint.is_alive ep -> () (* already up *)
-      | Some _ | None ->
-          st.endpoint <- None;
-          boot t node)
-  | Faults.Corrupt (node, c) -> (
-      match endpoint_on t node with
-      | Some ep ->
-          let field = Endpoint.corrupt ep c in
-          Oracle.record_corruption t.oracle ~proc:(Endpoint.me ep) ~field
-            ~time:(Sim.now t.sim)
-      | None -> ())
+let apply_action t action = Fleet.apply t.fleet ~net:t.net action
 
-let run_script t script =
-  Faults.schedule t.sim script ~apply:(fun action ->
-      Sim.record t.sim ~component:"faults" (Faults.to_string action);
-      apply_action t action)
+let run_script t script = Fleet.run_script t.fleet ~net:t.net script
 
 let pump_traffic t ~start ~until ~mean_gap =
-  let rec arm time =
-    let time = time +. Rng.exponential t.rng mean_gap in
-    if time < until then
-      ignore
-        (Sim.at t.sim time (fun () ->
-             let node = Rng.pick t.rng t.universe in
-             let order =
-               if Rng.bool t.rng 0.2 then Endpoint.Total else Endpoint.Fifo
-             in
-             multicast_from t ~node ~order ()));
-    if time < until then arm time
-  in
-  arm start
+  Fleet.pump_traffic t.fleet ~rng:t.rng ~start ~until ~mean_gap
+    ~multicast:(fun ep order -> send t ep ~order ())
 
 (* Endpoint counters summed over the live endpoints — the cluster-level
    view of retry/NACK activity for experiments and tests. *)
@@ -219,23 +132,16 @@ let stats_total t =
     }
     (live_endpoints t)
 
-let views_installed_per_process t = Oracle.install_counts t.oracle
-
 let stable_view_reached t =
-  match live_endpoints t with
-  | [] -> false
-  | eps ->
-      let live_nodes =
-        List.map (fun ep -> (Endpoint.me ep).Proc_id.node) eps
-        |> List.sort_uniq Int.compare
-      in
-      let views = List.map Endpoint.view eps in
-      (match views with
-      | v :: rest ->
-          List.for_all (fun v' -> View.equal v v') rest
-          && Listx.equal_set ~cmp:Int.compare
-               (List.sort_uniq Int.compare
-                  (List.map (fun (p : Proc_id.t) -> p.Proc_id.node) v.View.members))
-               live_nodes
-          && List.for_all (fun ep -> not (Endpoint.is_blocked ep)) eps
-      | [] -> false)
+  Fleet.stable_view t.fleet ~view:Endpoint.view ~blocked:Endpoint.is_blocked
+
+let run_until_stable t ~step ~deadline =
+  let rec wait () =
+    if stable_view_reached t then Sim.now t.sim
+    else if Sim.now t.sim >= deadline then infinity
+    else begin
+      run t ~until:(Sim.now t.sim +. step);
+      wait ()
+    end
+  in
+  wait ()

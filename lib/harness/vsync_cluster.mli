@@ -1,4 +1,5 @@
-(** A cluster of plain view-synchronous endpoints under oracle observation.
+(** A cluster of plain view-synchronous endpoints under oracle observation,
+    one per node of a {!Fleet}.
 
     Payloads are oracle message identities; every multicast, delivery and
     view installation is recorded, so a run can be driven with arbitrary
@@ -6,8 +7,6 @@
     This is the workhorse of the randomized protocol tests and of
     experiments E4 and E10. *)
 
-module Proc_id = Vs_net.Proc_id
-module View = Vs_gms.View
 module Endpoint = Vs_vsync.Endpoint
 
 type t
@@ -40,22 +39,25 @@ val multicast_from : t -> node:int -> ?order:Endpoint.order -> unit -> unit
     node is down. *)
 
 val apply_action : t -> Faults.action -> unit
+(** {!Fleet.apply} on this cluster's network. *)
 
 val run_script : t -> Faults.script -> unit
-(** Schedule a fault script against this cluster. *)
+(** Schedule a fault script against this cluster ({!Fleet.run_script}). *)
 
 val pump_traffic :
   t -> start:float -> until:float -> mean_gap:float -> unit
-(** Schedule random multicasts: at exponentially-spaced instants a random
-    live node multicasts one message (80% FIFO / 20% total order). *)
+(** Schedule random multicasts ({!Fleet.pump_traffic}) from the traffic
+    RNG the cluster forks before booting. *)
 
 val stats_total : t -> Endpoint.stats
 (** Endpoint counters summed over the live endpoints (retry/NACK activity
     for the loss experiments). *)
 
-val views_installed_per_process : t -> (Proc_id.t * int) list
-(** Install counts including dead incarnations — the E4 metric. *)
-
 val stable_view_reached : t -> bool
 (** All live endpoints share one installed view covering all live nodes and
-    are not flushing. *)
+    are not flushing ({!Fleet.stable_view}). *)
+
+val run_until_stable : t -> step:float -> deadline:float -> float
+(** Run in [step]-long slices until {!stable_view_reached} holds and return
+    the virtual time it was first seen; [infinity] if it still fails once
+    the clock reaches [deadline]. *)

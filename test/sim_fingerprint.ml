@@ -10,11 +10,15 @@
    - eight quick campaigns (both protocols, with crashes, partitions, loss
      and duplication) and four transient ones, one of them carrying a
      Stability_smear corruption: the background control plane — failure
-     suspicion, stability gossip, the corrupted-floor path — under churn.
+     suspicion, stability gossip, the corrupted-floor path — under churn;
+   - kv-faults: five Lww replicas under a fixed crash / partition / recover
+     / heal script driven through App_fleet.run_script, pinning the fleet's
+     fault interpreter and incarnation numbering.
 
    For each it prints the events processed, the Net counters, a digest of
    every replica's apply stream (kv) or every process's delivery sequence
-   (endpoints); for a campaign, its outcome counters and a digest of its
+   (endpoints); for a campaign, its outcome counters (stable view, distinct
+   views and the quarantine summary included) and a digest of its
    Protocol-level recording (which carries every Suspect/Unsuspect).  Any change to event ordering, RNG consumption, wire traffic
    or delivery order moves at least one line, so a hot-path optimisation
    that claims to leave the schedule alone is held to it.  Regenerate only
@@ -90,6 +94,69 @@ let kv out ~name ~seed ~batching =
   Printf.bprintf out "[%s] events=%d offered=%d accepted=%d rejected=%d\n" name
     (Sim.events_processed sim) load.App_fleet.offered load.App_fleet.accepted
     load.App_fleet.rejected;
+  Printf.bprintf out "[%s] %s\n" name (net_line (Net.stats net));
+  Array.iteri
+    (fun node b ->
+      Printf.bprintf out "[%s] replica %d log=%d digest=%s\n" name node
+        (Buffer.length b) (digest_of b))
+    applies
+
+(* ---------- kv fleet under a fixed fault script ---------- *)
+
+(* Five Lww replicas under a fixed crash / partition / recover / heal script
+   driven through App_fleet.run_script, with a steady put trickle: pins the
+   fleet's fault interpreter and its incarnation numbering. *)
+let kv_faults out ~name ~seed =
+  let n = 5 in
+  let sim = Sim.create ~seed () in
+  let net = Kv.make_net sim Net.default_config in
+  let universe = List.init n Fun.id in
+  let applies = Array.init n (fun _ -> Buffer.create 4096) in
+  let make ~node ~inc =
+    Kv.create sim net ~me:(Proc_id.make ~node ~inc) ~universe
+      ~on_apply:(fun ~origin ~key ~value ->
+        Printf.bprintf applies.(node) "%d:%s=%s;" origin key value)
+      ~config:Endpoint.default_config ~policy:Kv.Lww ()
+  in
+  let fleet =
+    App_fleet.create ~sim ~nodes:universe ~make ~kill:Kv.kill
+      ~is_alive:Kv.is_alive ~me:Kv.me
+      ~history:(fun kv -> Vs_apps.Group_object.history (Kv.obj kv))
+  in
+  let script =
+    [
+      (2.2, Faults.Crash 1);
+      (2.5, Faults.Partition [ [ 0; 1; 2 ]; [ 3; 4 ] ]);
+      (2.8, Faults.Recover 1);
+      (3.1, Faults.Crash 4);
+      (3.4, Faults.Heal);
+      (3.6, Faults.Recover 4);
+    ]
+  in
+  App_fleet.run_script fleet ~net script;
+  let puts = ref 0 and refused = ref 0 in
+  for i = 0 to 199 do
+    ignore
+      (Sim.at sim
+         (2.0 +. (0.01 *. float_of_int i))
+         (fun () ->
+           match App_fleet.on_node fleet (i mod n) with
+           | Some kv -> (
+               match
+                 Kv.put kv ~key:(Printf.sprintf "k%d" (i mod 7))
+                   ~value:(string_of_int i)
+               with
+               | Ok () -> incr puts
+               | Error `Not_serving -> incr refused)
+           | None -> incr refused))
+  done;
+  ignore (Sim.run ~until:6.0 sim);
+  Printf.bprintf out "[%s] events=%d puts=%d refused=%d live=%d\n" name
+    (Sim.events_processed sim) !puts !refused
+    (List.length (App_fleet.live fleet));
+  Printf.bprintf out "[%s] incarnations=%s\n" name
+    (String.concat ","
+       (List.map (fun kv -> Proc_id.to_string (Kv.me kv)) (App_fleet.all_ever fleet)));
   Printf.bprintf out "[%s] %s\n" name (net_line (Net.stats net));
   Array.iteri
     (fun node b ->
@@ -218,7 +285,16 @@ let campaign out (spec : Campaign.spec) =
   Printf.bprintf out "[%s] recording=%d suspects=%d unsuspects=%d digest=%s\n"
     name (List.length entries) suspects unsuspects
     (Digest.to_hex
-       (Digest.string (Vs_obs.Export.jsonl_of_entries entries)))
+       (Digest.string (Vs_obs.Export.jsonl_of_entries entries)));
+  Printf.bprintf out "[%s] stable=%b distinct_views=%d quarantine=%s\n" name
+    o.Campaign.stable o.Campaign.distinct_views
+    (match o.Campaign.quarantine with
+    | None -> "none"
+    | Some q ->
+        Printf.sprintf "bound=%d views=%d cut=%s quarantined=%d"
+          q.Driver.q_bound q.Driver.q_views
+          (match q.Driver.q_cut with Some c -> Printf.sprintf "%h" c | None -> "never")
+          q.Driver.q_quarantined)
 
 (* Seeds picked for coverage: every quick campaign crashes and partitions,
    several lose and duplicate messages, and the first transient script
@@ -244,6 +320,7 @@ let fingerprint () =
   kv out ~name:"kv-pipelined" ~seed:5L ~batching:true;
   endpoints out ~name:"mixed-causal" ~seed:11L;
   campaigns out;
+  kv_faults out ~name:"kv-faults" ~seed:6L;
   Buffer.contents out
 
 let read_file path =

@@ -118,6 +118,89 @@ let test_repro_errors () =
         0.001) (delay-max 0.01) (traffic-gap 0) (traffic-until 1) (horizon 2) \
         (script ((1 (explode 3)))))")
 
+(* One malformed artifact per validation rule, each a single-field edit of
+   a valid artifact: every one must come back as [Error], never as an
+   exception out of the replay.  Valid artifacts — the corpus and generated
+   specs of both protocols, transient on and off — still parse [Ok]. *)
+let test_repro_validation () =
+  let base =
+    "((seed 202) (protocol evs) (nodes 5) (loss 0.05) (dup 0) (delay-min \
+     0.001) (delay-max 0.015) (traffic-gap 0.04) (traffic-until 5) (horizon \
+     10) (script ((1 (partition (0 1) (2 3) (4))) (1.8 (crash 1)) (2.5 (heal)) \
+     (4.01 (recover 1)) (4.5 (corrupt 2 stability-smear 3 4)))))"
+  in
+  let edit ~field ~by =
+    let pat = "(" ^ field ^ " " in
+    let rec find i =
+      if String.sub base i (String.length pat) = pat then i else find (i + 1)
+    in
+    let i = find 0 in
+    (* the script is the last field and the only nested one *)
+    if field = "script" then String.sub base 0 i ^ by ^ ")"
+    else
+      let j = String.index_from base i ')' in
+      String.sub base 0 i ^ by ^ String.sub base (j + 1) (String.length base - j - 1)
+  in
+  let script actions = Printf.sprintf "(script (%s))" actions in
+  (match Repro.of_string base with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "base artifact rejected: %s" e);
+  let mentions msg word =
+    let n = String.length word in
+    let rec at i =
+      i + n <= String.length msg && (String.sub msg i n = word || at (i + 1))
+    in
+    at 0
+  in
+  List.iter
+    (fun (what, text) ->
+      match Repro.of_string text with
+      | Error msg ->
+          (* rejected by the validation rule, not by a broken edit *)
+          let word = List.hd (String.split_on_char ' ' what) in
+          if not (mentions msg word) then
+            Alcotest.failf "%s: rejected for another reason: %s" what msg
+      | Ok _ -> Alcotest.failf "%s: accepted" what)
+    [
+      ("nodes 0", edit ~field:"nodes" ~by:"(nodes 0)");
+      ("loss > 1", edit ~field:"loss" ~by:"(loss 1.5)");
+      ("dup < 0", edit ~field:"dup" ~by:"(dup -0.1)");
+      ("dup nan", edit ~field:"dup" ~by:"(dup nan)");
+      ("delay-min < 0", edit ~field:"delay-min" ~by:"(delay-min -0.001)");
+      ("delay-min > delay-max", edit ~field:"delay-min" ~by:"(delay-min 0.5)");
+      ("horizon negative", edit ~field:"horizon" ~by:"(horizon -1)");
+      ("horizon infinite", edit ~field:"horizon" ~by:"(horizon inf)");
+      ("script time negative", edit ~field:"script" ~by:(script "(-1 (heal))"));
+      ("script time nan", edit ~field:"script" ~by:(script "(nan (heal))"));
+      ("crash target", edit ~field:"script" ~by:(script "(1 (crash 9))"));
+      ("recover target", edit ~field:"script" ~by:(script "(1 (recover -1))"));
+      ("partition target", edit ~field:"script" ~by:(script "(1 (partition (0 1) (5)))"));
+      ("corrupt target", edit ~field:"script" ~by:(script "(1 (corrupt 5 seq-skew 2))"));
+      ("deps-truncate argument", edit ~field:"script" ~by:(script "(1 (corrupt 0 deps-truncate 7 2))"));
+      ("duplicate field", edit ~field:"horizon" ~by:"(horizon 10) (horizon 9)");
+      ("unknown field", edit ~field:"horizon" ~by:"(horizon 10) (horizont 9)");
+    ];
+  List.iter
+    (fun (path, result) ->
+      match result with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "%s rejected: %s" path e)
+    (Repro.load_dir "corpus");
+  for seed = 1 to 50 do
+    List.iter
+      (fun (protocol, transient) ->
+        let spec =
+          Campaign.generate ~protocol ~transient ~seed ~nodes:(2 + (seed mod 5))
+            ~quick:(seed mod 2 = 0) ()
+        in
+        match Repro.of_string (Repro.to_string spec) with
+        | Ok spec' ->
+            check Alcotest.bool "generated spec round-trips" true
+              (Campaign.equal_spec spec spec')
+        | Error e -> Alcotest.failf "generated seed %d rejected: %s" seed e)
+      [ (Driver.Vsync, false); (Driver.Vsync, true); (Driver.Evs, false); (Driver.Evs, true) ]
+  done
+
 (* ---------- shrinker ---------- *)
 
 (* A deterministic structural failure: the script still crashes node 1.
@@ -756,6 +839,8 @@ let () =
           qt roundtrip_property;
           Alcotest.test_case "parse errors are reported" `Quick
             test_repro_errors;
+          Alcotest.test_case "invalid artifacts are rejected" `Quick
+            test_repro_validation;
         ] );
       ( "shrink",
         [
