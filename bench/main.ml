@@ -1,7 +1,8 @@
 (* Benchmark harness: regenerates every table of EXPERIMENTS.md (the
    executable counterparts of the paper's Figures 1-3 and analytical claims
-   C1-C3) and runs one Bechamel micro-benchmark per table on the hot
-   operation underlying it.
+   C1-C3) and runs Bechamel micro-benchmarks: one on the hot operation
+   under each table whose operation is repo code, and one per layer for
+   the control plane, Full-level recording and the causal analysis.
 
    Usage:
      bench/main.exe            run everything (full-size experiments)
@@ -772,20 +773,6 @@ let micro_tests () =
        Staged.stage (fun () ->
            ignore
              (Vs_vsync.Wire.size_of ~user:(fun _ -> 8) ~ann:(fun () -> 8) install)));
-    (* E7: quorum evaluation over a membership. *)
-    Test.make ~name:"e7/quorum-check"
-      (let members = List.init 5 p in
-       Staged.stage (fun () ->
-           ignore
-             (List.fold_left (fun acc (_ : Proc_id.t) -> acc + 1) 0 members > 2)));
-    (* E8: one full range scan of the replicated dataset. *)
-    Test.make ~name:"e8/range-scan-1000"
-      (Staged.stage (fun () ->
-           let hits = ref 0 in
-           for k = 0 to 999 do
-             if (k * 37 + 11) mod 256 = 48 then incr hits
-           done;
-           ignore !hits));
     (* E9: the structure fingerprint used to compare e-views. *)
     Test.make ~name:"e9/eview-fingerprint"
       (Staged.stage (fun () -> ignore (E_view.to_string sample_eview)));
@@ -846,6 +833,79 @@ let causal_micro () =
       in
       Table.add_row table [ name; per_entry; Printf.sprintf "%.1f" words; r2 ])
     (Vs_util.Hashtblx.sorted_bindings ~cmp:String.compare results);
+  Table.print table
+
+(* The recording layer: what Full-level emission adds to one fixed seeded
+   campaign (the one [causal_micro] folds) over a Protocol-level recording
+   of the same run, charged to each entry Full adds (the per-message
+   Send/Recv/Drop/Dup events).  ns by Bechamel over whole campaigns; minor
+   and promoted words by Gc.counters over a fixed number of runs. *)
+let recorder_micro () =
+  let open Bechamel in
+  let spec = Vs_check.Campaign.generate ~seed:3 ~nodes:4 ~quick:false () in
+  let run level () =
+    let recorder = Recorder.create ~level () in
+    let (_ : Vs_check.Campaign.outcome) =
+      Vs_check.Campaign.run ~obs:recorder spec
+    in
+    recorder
+  in
+  let entries level = Recorder.count (run level ()) in
+  let added =
+    float_of_int (entries Recorder.Full - entries Recorder.Protocol)
+  in
+  let cfg = Benchmark.cfg ~limit:100 ~quota:(Time.second 1.0) () in
+  let ns level name =
+    let test = Test.make ~name (Staged.stage (fun () -> ignore (run level ()))) in
+    let raw = Benchmark.all cfg Toolkit.Instance.[ monotonic_clock ] test in
+    let ols =
+      Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
+    in
+    match
+      Vs_util.Hashtblx.sorted_bindings ~cmp:String.compare
+        (Analyze.all ols Toolkit.Instance.monotonic_clock raw)
+    with
+    | [ (_, result) ] -> (
+        match
+          (Analyze.OLS.estimates result, Analyze.OLS.r_square result)
+        with
+        | Some [ est ], Some r2 -> (est, r2)
+        | _ -> (Float.nan, Float.nan))
+    | _ -> (Float.nan, Float.nan)
+  in
+  let words level =
+    let reps = 5 in
+    let minor0, promoted0, _ = Gc.counters () in
+    for _ = 1 to reps do
+      ignore (run level ())
+    done;
+    let minor1, promoted1, _ = Gc.counters () in
+    ( (minor1 -. minor0) /. float_of_int reps,
+      (promoted1 -. promoted0) /. float_of_int reps )
+  in
+  let full_ns, full_r2 = ns Recorder.Full "full" in
+  let proto_ns, proto_r2 = ns Recorder.Protocol "protocol" in
+  let full_minor, full_promoted = words Recorder.Full in
+  let proto_minor, proto_promoted = words Recorder.Protocol in
+  let table =
+    Table.create
+      ~title:
+        (Printf.sprintf
+           "recording micro: Full minus Protocol over one campaign (%.0f \
+            entries added; %.2f ms at Full, %.2f ms at Protocol)"
+           added (full_ns /. 1e6) (proto_ns /. 1e6))
+      ~columns:
+        [ "benchmark"; "ns/entry"; "minor words/entry"; "promoted words/entry";
+          "r^2 (full, protocol)" ]
+  in
+  Table.add_row table
+    [
+      "recorder/full-emit";
+      Printf.sprintf "%.1f" ((full_ns -. proto_ns) /. added);
+      Printf.sprintf "%.1f" ((full_minor -. proto_minor) /. added);
+      Printf.sprintf "%.2f" ((full_promoted -. proto_promoted) /. added);
+      Printf.sprintf "%.4f, %.4f" full_r2 proto_r2;
+    ];
   Table.print table
 
 (* The background control plane, one micro per handler, in steady state:
@@ -946,7 +1006,7 @@ let control_plane_micro () =
 
 let run_micro () =
   let open Bechamel in
-  print_endline "### Bechamel micro-benchmarks (one per experiment table)\n";
+  print_endline "### Bechamel micro-benchmarks (per experiment table and per layer)\n";
   let cfg =
     Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.2) ~kde:(Some 1000) ()
   in
@@ -982,6 +1042,7 @@ let run_micro () =
     rows;
   Table.print table;
   control_plane_micro ();
+  recorder_micro ();
   causal_micro ()
 
 let () =

@@ -109,9 +109,9 @@ let complete t =
       Sim.emit t.sim
         (Vs_obs.Event.Task_done
            {
-             proc = Proc_id.to_obs (me t);
+             proc = me t;
              task;
-             vid = View.Id.to_obs (current_vid t);
+             vid = current_vid t;
            })
   | None -> ());
   Group_object.complete_settling (get_obj t);
@@ -194,7 +194,7 @@ let handle_settle t (problem : Evs_core.Classify.problem) _ev =
   t.task <- Some task;
   Sim.emit t.sim
     (Vs_obs.Event.Task_start
-       { proc = Proc_id.to_obs (me t); task; vid = View.Id.to_obs vid });
+       { proc = me t; task; vid });
   Group_object.multicast o (Present { vid; full = t.full })
 
 let handle_message t ~sender payload =

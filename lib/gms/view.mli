@@ -7,7 +7,10 @@
     member. *)
 
 module Id : sig
-  type t = { epoch : int; proposer : Vs_net.Proc_id.t } [@@deriving eq, ord, show]
+  type t = Vs_obs.Event.vid = { epoch : int; proposer : Vs_net.Proc_id.t }
+  [@@deriving eq, ord, show]
+  (** The schema's view identifier ({!Vs_obs.Event.vid}); [equal],
+      [compare] and {!to_string} are the schema's. *)
 
   val initial : Vs_net.Proc_id.t -> t
   (** Epoch-0 identifier of a process's boot-time singleton view. *)
@@ -15,9 +18,6 @@ module Id : sig
   val make : epoch:int -> proposer:Vs_net.Proc_id.t -> t
 
   val to_string : t -> string
-
-  val to_obs : t -> Vs_obs.Event.vid
-  (** Mirror into the observability schema. *)
 end
 
 type t = { id : Id.t; members : Vs_net.Proc_id.t list } [@@deriving eq, show]

@@ -35,21 +35,18 @@ type outcome = {
   events : int;
   stable : bool;
   quarantine : quarantine option;
-  straggler : (string * float) option;
 }
 
-(* The vspath straggler verdict for the run, when the caller recorded it at
-   Full level — the only level at which the causal DAG has its message
-   edges.  Anything below Full yields [None] without touching the entries,
-   so the checking paths (Protocol or Off recorders) pay nothing. *)
-let causal_straggler obs =
-  match obs with
-  | Some r when Vs_obs.Recorder.full_on r && Vs_obs.Recorder.count r > 0 ->
-      let cp = Vs_obs.Critpath.of_entries (Vs_obs.Recorder.entries r) in
-      Option.map
-        (fun (p, c) -> (Vs_obs.Event.proc_to_string p, c))
-        cp.Vs_obs.Critpath.straggler
-  | Some _ | None -> None
+(* The vspath straggler verdict of a recorded run, built on request: the
+   causal DAG has its message edges only at Full level, and anything below
+   yields [None] without touching the entries. *)
+let straggler r =
+  if Vs_obs.Recorder.full_on r && Vs_obs.Recorder.count r > 0 then
+    let cp = Vs_obs.Critpath.of_entries (Vs_obs.Recorder.entries r) in
+    Option.map
+      (fun (p, c) -> (Vs_obs.Event.proc_to_string p, c))
+      cp.Vs_obs.Critpath.straggler
+  else None
 
 (* EVS harness checks return plain strings; wrap them so the explain layer
    can still attribute them to a property class. *)
@@ -96,8 +93,8 @@ let evs_structural_violations ~since ~n c =
         {
           Vs_obs.Explain.property = Vs_obs.Explain.Evs_invariant;
           msg = None;
-          procs = [ Proc_id.to_obs r.Evs_cluster.er_proc ];
-          vids = [ View.Id.to_obs ev.E_view.view.View.id ];
+          procs = [ r.Evs_cluster.er_proc ];
+          vids = [ ev.E_view.view.View.id ];
           detail;
         }
       in
@@ -210,5 +207,4 @@ let run_schedule ?traffic ?obs ?stabilization_bound:bound setup ~script ~until =
     events = Sim.events_processed h.sim;
     stable = h.stable ();
     quarantine;
-    straggler = causal_straggler obs;
   }

@@ -65,12 +65,6 @@ type outcome = {
           were filtered through {!Oracle.stabilization} (recovery-window
           violations quarantined, persisting ones relabeled) and, on EVS
           runs, the 6.1/6.3/structural checks re-ran from the cut *)
-  straggler : (string * float) option;
-      (** the vspath verdict — the process carrying the largest summed
-          charge across the run's install critical paths, with that charge
-          in seconds.  Computed only when [?obs] recorded at [Full] level
-          (the causal DAG needs per-message traffic); [None] otherwise, so
-          Protocol/Off-level checking runs pay nothing for it *)
 }
 
 val run_schedule :
@@ -86,3 +80,12 @@ val run_schedule :
     (pass a [Full]-level recorder to capture per-message traffic).
     [?stabilization_bound] overrides {!Oracle.stabilization}'s default
     recovery bound for runs with transient faults. *)
+
+val straggler : Vs_obs.Recorder.t -> (string * float) option
+(** The vspath verdict of a recorded run: the process carrying the largest
+    summed charge across the run's install critical paths, with that charge
+    in seconds.  Builds the causal DAG, once per call, from a [Full]-level
+    recording (the DAG needs per-message traffic); [None] below [Full],
+    without touching the entries.  A function rather than an outcome field,
+    so a run pays for the DAG only when asked and a kept outcome does not
+    hold its recording alive. *)

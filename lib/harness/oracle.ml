@@ -14,7 +14,7 @@ let compare_msg_id a b =
   | c -> c
 
 let msg_id_to_obs m =
-  { Vs_obs.Event.origin = Proc_id.to_obs m.m_sender; mseq = m.m_index }
+  { Vs_obs.Event.origin = m.m_sender; mseq = m.m_index }
 
 (* Structured verdicts: the property that broke plus the protocol-typed
    identities the verdict names.  [v_detail] is the legacy one-line string;
@@ -31,8 +31,8 @@ let to_obs_violation v =
   {
     Vs_obs.Explain.property = v.v_property;
     msg = Option.map msg_id_to_obs v.v_msg;
-    procs = List.map Proc_id.to_obs v.v_procs;
-    vids = List.map View.Id.to_obs v.v_vids;
+    procs = v.v_procs;
+    vids = v.v_vids;
     detail = v.v_detail;
   }
 

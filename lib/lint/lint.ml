@@ -259,9 +259,6 @@ let table_modules_of_file path (ast : Parsetree.structure) =
   walk [] ast;
   List.rev !out
 
-let table_modules files =
-  List.concat_map (fun (path, ast) -> table_modules_of_file path ast) files
-
 (* Does the (alias-expanded) qualifier path [quals], written in [path],
    name one of [tables]?  Resolution is by path suffix, as for the call
    graph, except that a lone module name only resolves inside its own
@@ -292,6 +289,47 @@ let module_aliases (ast : Parsetree.structure) =
           Some (name, Callgraph.strip_stdlib (path_of_lident txt))
       | _ -> None)
     ast
+
+(* Every table module of the tree: the ones bound to a functor
+   application, then, to a fixpoint, every toplevel alias of one
+   ([module Tbl = Vs_obs.Event.Proc_tbl] makes [Proc_id.Tbl] a table for
+   the files that enumerate it under that name). *)
+let table_modules files =
+  let direct =
+    List.concat_map (fun (path, ast) -> table_modules_of_file path ast) files
+  in
+  let aliases =
+    List.concat_map
+      (fun (path, ast) ->
+        List.map
+          (fun (name, target) ->
+            ( { tm_file = path;
+                tm_path = [ Callgraph.file_module path; name ];
+                tm_local = false },
+              target ))
+          (module_aliases ast))
+      files
+  in
+  let known tables tm =
+    List.exists
+      (fun t ->
+        String.equal t.tm_file tm.tm_file
+        && List.equal String.equal t.tm_path tm.tm_path)
+      tables
+  in
+  let rec close tables =
+    match
+      List.filter_map
+        (fun (tm, target) ->
+          if (not (known tables tm)) && names_table tables ~path:tm.tm_file target
+          then Some tm
+          else None)
+        aliases
+    with
+    | [] -> tables
+    | fresh -> close (tables @ fresh)
+  in
+  close direct
 
 let collect_ident_findings ~path ~tables ast =
   let compare_bound_at = compare_binding_lines ast in

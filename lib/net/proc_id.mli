@@ -5,7 +5,12 @@
     (node, incarnation) pair, and a recovered process — a higher incarnation
     on the same node — is a brand-new group member with no protocol state. *)
 
-type t = { node : int; inc : int } [@@deriving eq, ord, show]
+type t = Vs_obs.Event.proc = { node : int; inc : int }
+[@@deriving eq, ord, show]
+(** The schema's process record ({!Vs_obs.Event.proc}), so recorded events
+    carry the protocol's own ids.  [equal], [compare] and {!to_string} are
+    {!Vs_obs.Event.equal_proc}, {!Vs_obs.Event.compare_proc} and
+    {!Vs_obs.Event.proc_to_string}. *)
 
 val make : node:int -> inc:int -> t
 
@@ -13,11 +18,8 @@ val initial : int -> t
 (** First incarnation on a node. *)
 
 val to_string : t -> string
-(** Compact rendering, e.g. "p3.0" for node 3, incarnation 0. *)
-
-val to_obs : t -> Vs_obs.Event.proc
-(** Mirror into the observability schema (which sits below this library in
-    the dependency order). *)
+(** Compact rendering: ["p3"] for node 3, incarnation 0; ["p3.1"] for
+    incarnation 1. *)
 
 val sort : t list -> t list
 (** Sorted duplicate-free list — the canonical representation of a
@@ -30,19 +32,9 @@ module Map : Map.S with type key = t
 module Set : Set.S with type elt = t
 
 val hash : t -> int
-(** Allocation-free integer hash, equal to {!Vs_obs.Event.hash_proc} of the
-    mirrored id. *)
+(** Allocation-free integer hash: {!Vs_obs.Event.hash_proc}. *)
 
-(** Hash tables keyed by process id, hashed by {!hash}.  Like every hash
-    table, enumeration order is bucket order: the only sanctioned
-    enumerations are the sorted ones below (vslint rule D2 flags raw
-    [iter]/[fold]/[to_seq] on this module too). *)
-module Tbl : sig
-  include Hashtbl.S with type key = t
-
-  val sorted_bindings : 'a t -> (key * 'a) list
-  (** Every binding, in {!compare} order of the keys. *)
-
-  val sorted_keys : 'a t -> key list
-  (** Every key, in {!compare} order. *)
-end
+module Tbl = Vs_obs.Event.Proc_tbl
+(** Hash tables keyed by process id, hashed by {!hash}: the schema's table,
+    shared with the analyses.  Enumerate only through its
+    [sorted_bindings]/[sorted_keys] (vslint rule D2). *)

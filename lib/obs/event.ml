@@ -1,7 +1,7 @@
 (* The typed event schema.  Sits below lib/sim in the dependency order, so
-   processes and view identifiers are mirrored as plain records here; the
-   protocol layers convert with Proc_id.to_obs / View.Id.to_obs at the
-   emission site. *)
+   the process and view identities are declared here and the protocol
+   layers share them: Proc_id.t is [proc] and View.Id.t is [vid], so an
+   emission site puts the protocol's own record into the event. *)
 
 type proc = { node : int; inc : int }
 
@@ -92,12 +92,20 @@ let hash_vid v = (hash_proc v.proposer * 65599) + v.epoch
 
 let hash_msg m = (hash_proc m.origin * 65599) + m.mseq
 
-module Proc_tbl = Hashtbl.Make (struct
-  type t = proc
+module Proc_tbl = struct
+  module H = Hashtbl.Make (struct
+    type t = proc
 
-  let equal = equal_proc
-  let hash = hash_proc
-end)
+    let equal = equal_proc
+    let hash = hash_proc
+  end)
+
+  include H
+  module Sorted = Vs_util.Hashtblx.Make (H)
+
+  let sorted_bindings tbl = Sorted.sorted_bindings ~cmp:compare_proc tbl
+  let sorted_keys tbl = Sorted.sorted_keys ~cmp:compare_proc tbl
+end
 
 module Vid_tbl = Hashtbl.Make (struct
   type t = vid

@@ -1,18 +1,21 @@
 (** The typed observability event schema.
 
-    This module sits {e below} [lib/sim] in the dependency order, so process
-    and view identifiers are mirrored here as plain records ([proc], [vid]);
-    the protocol layers convert at the emission site via [Proc_id.to_obs] and
-    [View.Id.to_obs].  Every variant carries only immediate data — no
-    closures, no views — so recording stays allocation-light and exporters
-    can serialize without reaching back into protocol state. *)
+    This module sits {e below} [lib/sim] in the dependency order, so it
+    declares the process and view identities ([proc], [vid]) and the
+    protocol layers take them as their own: [Proc_id.t] is [proc] and
+    [View.Id.t] is [vid], by type equation.  An emission site puts the
+    protocol's record into the event as it is, with no conversion and no
+    copy.  Every variant carries only immediate data — no closures, no
+    views — so recording stays allocation-light and exporters can serialize
+    without reaching back into protocol state. *)
 
 type proc = { node : int; inc : int }
-(** Mirror of [Proc_id.t].  [inc = -1] encodes a node-addressed destination
+(** A process: node and incarnation; the same type as [Proc_id.t].
+    [inc = -1] encodes a node-addressed destination
     (a [send_node] target whose live incarnation is resolved at delivery). *)
 
 type vid = { epoch : int; proposer : proc }
-(** Mirror of [View.Id.t]. *)
+(** A view identifier; the same type as [View.Id.t]. *)
 
 val proc_to_string : proc -> string
 (** ["p3"], ["p3.1"], or ["n3"] for a node-addressed destination. *)
@@ -55,10 +58,23 @@ val hash_proc : proc -> int
 val hash_msg : msg -> int
 
 (** Tables keyed on the typed identities — the matching keys of the
-    [Causal], [Stall], [Critpath] and [Metrics] folds.  None of them is
-    enumerated; output order comes from the typed comparators above. *)
+    [Causal], [Stall], [Critpath] and [Metrics] folds, and the protocol's
+    per-process tables.  Output order never comes from a table: it comes
+    from the typed comparators above. *)
 
-module Proc_tbl : Hashtbl.S with type key = proc
+(** Hash tables keyed by process, hashed by {!hash_proc}; [Proc_id.Tbl] is
+    this module.  Like every hash table, enumeration order is bucket order:
+    the only sanctioned enumerations are the sorted ones below (vslint rule
+    D2 flags raw [iter]/[fold]/[to_seq] on this module and its aliases). *)
+module Proc_tbl : sig
+  include Hashtbl.S with type key = proc
+
+  val sorted_bindings : 'a t -> (key * 'a) list
+  (** Every binding, in {!compare_proc} order of the keys. *)
+
+  val sorted_keys : 'a t -> key list
+  (** Every key, in {!compare_proc} order. *)
+end
 
 module Vid_tbl : Hashtbl.S with type key = vid
 

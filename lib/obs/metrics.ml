@@ -21,15 +21,29 @@ let create () =
     hists = Hashtbl.create 16;
   }
 
-let incr ?(by = 1) t name =
+(* The registry's cell for a counter or gauge, created on first use: a
+   caller that keeps the cell bumps it with no further lookup. *)
+let counter_cell t name =
   match Hashtbl.find_opt t.counters name with
-  | Some r -> r := !r + by
-  | None -> Hashtbl.replace t.counters name (ref by)
+  | Some r -> r
+  | None ->
+      let r = ref 0 in
+      Hashtbl.replace t.counters name r;
+      r
 
-let set_gauge t name v =
+let gauge_cell t name =
   match Hashtbl.find_opt t.gauges name with
-  | Some r -> r := v
-  | None -> Hashtbl.replace t.gauges name (ref v)
+  | Some r -> r
+  | None ->
+      let r = ref 0. in
+      Hashtbl.replace t.gauges name r;
+      r
+
+let incr ?(by = 1) t name =
+  let r = counter_cell t name in
+  r := !r + by
+
+let set_gauge t name v = gauge_cell t name := v
 
 let observe t name v =
   match Hashtbl.find_opt t.hists name with
@@ -61,14 +75,43 @@ let hists t = Vs_util.Hashtblx.sorted_bindings ~cmp:String.compare t.hists
 
 (* --- derivation from an event stream ------------------------------------- *)
 
+module Int_tbl = Hashtbl.Make (Int)
+
+(* A counter the fold bumps on every event of some kind: its name, and its
+   registry cell once the first bump has bound it.  A slot that never fires
+   leaves the counter absent. *)
+type slot = { name : string; mutable cell : int ref option }
+
+let slot name = { name; cell = None }
+
+let slot_bump m s =
+  match s.cell with
+  | Some r -> r := !r + 1
+  | None ->
+      let r = counter_cell m s.name in
+      r := !r + 1;
+      s.cell <- Some r
+
 (* Incremental derivation state.  [step] consumes one timestamped event and
    updates the registry in place, so the same fold serves both the
    end-of-run [of_entries] pass and the vsmon series sink, which feeds
-   events as the simulation emits them. *)
+   events as the simulation emits them.
+
+   The per-event cells (the last-event gauge, the wire counters and each
+   node's mode-send counter) are bound on first use and bumped directly
+   after that, so a Full-level stream costs no string building or hashing
+   per event. *)
 type deriv = {
   metrics : t;
-  (* current app mode per node, for the messages-per-mode split *)
-  node_mode : (int, string) Hashtbl.t;
+  (* the [net.sends.mode.<mode>] slot of each node's current app mode; a
+     node with no Mode_change yet counts under mode "N" *)
+  node_mode : slot Int_tbl.t;
+  default_mode_sends : slot;
+  sends : slot;
+  recvs : slot;
+  drops : slot;
+  dups : slot;
+  mutable last_event_time : float ref option;
   (* first propose time per view id, for install latency *)
   proposed : float Event.Vid_tbl.t;
   (* first flush-ack per (proc, view id), for flush stall *)
@@ -77,10 +120,18 @@ type deriv = {
   tasks : float Event.Proc_str_tbl.t;
 }
 
+let mode_sends_slot mode = slot ("net.sends.mode." ^ mode)
+
 let deriv_create () =
   {
     metrics = create ();
-    node_mode = Hashtbl.create 8;
+    node_mode = Int_tbl.create 8;
+    default_mode_sends = mode_sends_slot "N";
+    sends = slot "net.sends";
+    recvs = slot "net.recvs";
+    drops = slot "net.drops";
+    dups = slot "net.dups";
+    last_event_time = None;
     proposed = Event.Vid_tbl.create 16;
     flushed = Event.Proc_vid_tbl.create 32;
     tasks = Event.Proc_str_tbl.create 8;
@@ -90,19 +141,24 @@ let deriv_metrics d = d.metrics
 
 let step d ~time (event : Event.t) =
   let m = d.metrics in
-  let mode_of (p : Event.proc) =
-    match Hashtbl.find_opt d.node_mode p.node with Some s -> s | None -> "N"
-  in
-  set_gauge m "run.last-event-time" time;
+  (match d.last_event_time with
+  | Some r -> r := time
+  | None ->
+      let r = gauge_cell m "run.last-event-time" in
+      r := time;
+      d.last_event_time <- Some r);
   match event with
   | Event.Send { src; _ } ->
-      incr m "net.sends";
-      incr m ("net.sends.mode." ^ mode_of src)
-  | Event.Recv _ -> incr m "net.recvs"
+      slot_bump m d.sends;
+      slot_bump m
+        (match Int_tbl.find_opt d.node_mode src.node with
+        | Some s -> s
+        | None -> d.default_mode_sends)
+  | Event.Recv _ -> slot_bump m d.recvs
   | Event.Drop { reason; _ } ->
-      incr m "net.drops";
+      slot_bump m d.drops;
       incr m ("net.drops." ^ reason)
-  | Event.Dup _ -> incr m "net.dups"
+  | Event.Dup _ -> slot_bump m d.dups
   | Event.Retransmit { count; peer; _ } ->
       incr ~by:count m "vsync.retransmits";
       if peer then incr ~by:count m "vsync.retransmits.peer"
@@ -133,7 +189,7 @@ let step d ~time (event : Event.t) =
   | Event.Eview _ -> incr m "evs.eviews"
   | Event.Mode_change { proc; into_mode; cause; _ } ->
       incr m ("mode.transitions." ^ cause);
-      Hashtbl.replace d.node_mode proc.node into_mode
+      Int_tbl.replace d.node_mode proc.node (mode_sends_slot into_mode)
   | Event.Settle _ -> incr m "app.settles"
   | Event.Task_start { proc; task; _ } ->
       let key = (proc, task) in

@@ -14,7 +14,7 @@
    coverage the sample claims), the happened-before DAG's stats, a digest
    of every node's sorted predecessor list, the orphan receives, digests of
    the Critpath, Stall, Metrics and Lineage outputs, and the campaign's
-   straggler verdict.  The DAG's edge set is otherwise pinned nowhere, so
+   straggler verdict ([Driver.straggler]).  The DAG's edge set is otherwise pinned nowhere, so
    this is the guard a change to the matching in Causal (or to the anchor
    keys of the other folds) is held to.  Regenerate only after an
    intentional change to an analysis with
@@ -175,7 +175,7 @@ let campaign out (protocol, seed, nodes, dup) =
   in
   Printf.bprintf out "[%s] %s violations=%d\n" name (Campaign.describe spec)
     (List.length outcome.Campaign.violations);
-  analyse out ~name ~straggler:outcome.Campaign.straggler
+  analyse out ~name ~straggler:(Driver.straggler recorder)
     (Recorder.entries recorder)
 
 (* ---------- batched kv fleet ---------- *)

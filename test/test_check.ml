@@ -118,6 +118,80 @@ let test_repro_errors () =
         0.001) (delay-max 0.01) (traffic-gap 0) (traffic-until 1) (horizon 2) \
         (script ((1 (explode 3)))))")
 
+(* Parser robustness: byte-flipped, truncated and spliced variants of valid
+   inputs — one JSON document exercising every JSON construct and twenty
+   generated repro artifacts (both protocols, transient on and off) — go
+   through both parsers, which must answer with a [result] and never raise. *)
+let parser_corpus =
+  lazy
+    (let json =
+       {|{"a":1,"b":[true,false,null,"x\n\"y\u00e9"],"c":{"d":-2.5e-3,"e":[],"f":{}},"t":0.25,"n":-17}|}
+     in
+     let repros =
+       List.init 20 (fun i ->
+           Repro.to_string
+             (Campaign.generate ~transient:(i mod 3 = 0) ~seed:(900 + i)
+                ~nodes:(2 + (i mod 5)) ~quick:(i mod 2 = 0) ()))
+     in
+     Array.of_list (json :: repros))
+
+type mutation = Flip of int * char | Truncate of int | Splice of int * int * int
+
+let mutate docs (d, m) =
+  let s = docs.(d) in
+  let n = String.length s in
+  match m with
+  | Flip (i, c) ->
+      let b = Bytes.of_string s in
+      Bytes.set b (i mod n) c;
+      Bytes.to_string b
+  | Truncate i -> String.sub s 0 (i mod (n + 1))
+  | Splice (other, i, j) ->
+      (* a prefix of this document joined to a suffix of another *)
+      let o = docs.(other mod Array.length docs) in
+      let i = i mod (n + 1) and j = j mod (String.length o + 1) in
+      String.sub s 0 i ^ String.sub o j (String.length o - j)
+
+let parsers_total_property =
+  let gen_mutation =
+    QCheck.Gen.(
+      oneof
+        [
+          map2 (fun i c -> Flip (i, c)) nat char;
+          map (fun i -> Truncate i) nat;
+          map3 (fun o i j -> Splice (o, i, j)) nat nat nat;
+        ])
+  in
+  QCheck.Test.make ~name:"parsers return a result on mangled input" ~count:1500
+    QCheck.(
+      make
+        ~print:(fun (d, m) ->
+          String.escaped (mutate (Lazy.force parser_corpus) (d, m)))
+        Gen.(pair (int_bound 20) gen_mutation))
+    (fun case ->
+      let text = mutate (Lazy.force parser_corpus) case in
+      let total name f =
+        match f text with
+        | Ok _ | Error _ -> true
+        | exception e ->
+            QCheck.Test.fail_reportf "%s raised %s" name (Printexc.to_string e)
+      in
+      total "Json.of_string" Vs_obs.Json.of_string
+      && total "Repro.of_string" Repro.of_string)
+
+let test_parser_corpus_valid () =
+  Array.iteri
+    (fun i text ->
+      if i = 0 then
+        check Alcotest.bool "the JSON document parses" true
+          (Result.is_ok (Vs_obs.Json.of_string text))
+      else
+        check Alcotest.bool
+          (Printf.sprintf "repro artifact %d parses" i)
+          true
+          (Result.is_ok (Repro.of_string text)))
+    (Lazy.force parser_corpus)
+
 (* One malformed artifact per validation rule, each a single-field edit of
    a valid artifact: every one must come back as [Error], never as an
    exception out of the replay.  Valid artifacts — the corpus and generated
@@ -281,7 +355,7 @@ let assert_mentions text parts =
 
 let obs_mid m = Event.msg_to_string (Oracle.msg_id_to_obs m)
 
-let obs_vid v = Event.vid_to_string (View.Id.to_obs v)
+let obs_vid v = Event.vid_to_string v
 
 (* Drive a real, clean run: 3 nodes form a view, exchange FIFO traffic,
    then lose node 2 so a successor view exists (agreement compares the
@@ -424,7 +498,7 @@ let test_mutation_spurious_message_breaks_integrity () =
     [
       "violated: integrity (Property 2.3)";
       "message: " ^ obs_mid phantom;
-      "processes: " ^ Event.proc_to_string (Proc_id.to_obs (p 0));
+      "processes: " ^ Event.proc_to_string (p 0);
       obs_vid vid;
     ]
 
@@ -841,6 +915,9 @@ let () =
             test_repro_errors;
           Alcotest.test_case "invalid artifacts are rejected" `Quick
             test_repro_validation;
+          Alcotest.test_case "robustness corpus is valid" `Quick
+            test_parser_corpus_valid;
+          qt parsers_total_property;
         ] );
       ( "shrink",
         [

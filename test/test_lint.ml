@@ -354,6 +354,30 @@ let test_typed_table_across_files () =
   check (Alcotest.list Alcotest.string) "alias and qualified path resolve"
     [ "D2@5"; "D3@6" ] user
 
+let test_typed_table_reexported () =
+  let files =
+    played
+      [
+        ("lib/net/d2_tbl_bad.ml", "d2_tbl_bad.ml");
+        ("lib/gms/d2_tbl_reexport.ml", "d2_tbl_reexport.ml");
+        ("lib/fd/d2_tbl_reexport_user.ml", "d2_tbl_reexport_user.ml");
+      ]
+  in
+  let r = Whole.analyze ~files () in
+  let findings file =
+    List.filter_map
+      (fun (f : Lint.finding) ->
+        if String.equal f.Lint.file file then
+          Some (Printf.sprintf "%s@%d" f.Lint.rule.Rules.id f.Lint.line)
+        else None)
+      r.Whole.findings
+  in
+  check (Alcotest.list Alcotest.string) "re-exporting file is clean" []
+    (findings "lib/gms/d2_tbl_reexport.ml");
+  check (Alcotest.list Alcotest.string) "exported alias resolves"
+    [ "D2@3"; "D3@4" ]
+    (findings "lib/fd/d2_tbl_reexport_user.ml")
+
 let () =
   Alcotest.run "vs_lint"
     [
@@ -377,6 +401,8 @@ let () =
                ~lines:[ 19; 22; 23; 24 ]);
           Alcotest.test_case "typed table across files" `Quick
             test_typed_table_across_files;
+          Alcotest.test_case "typed table re-exported by alias" `Quick
+            test_typed_table_reexported;
           Alcotest.test_case "s1_bad" `Quick
             (test_bad ~file:"s1_bad.ml" ~rules:[ "S1"; "D2" ] ~lines:[ 4; 5 ]);
         ] );

@@ -13,6 +13,8 @@ module Summary = Vs_stats.Summary
 module Lineage = Vs_obs.Lineage
 module Query = Vs_obs.Query
 module Campaign = Vs_check.Campaign
+module Proc_id = Vs_net.Proc_id
+module View = Vs_gms.View
 
 let check = Alcotest.check
 
@@ -398,6 +400,33 @@ let test_identity_round_trip () =
       ({ Event.origin = p 4 2; mseq = 0 }, "p4.2#0");
       ({ Event.origin = p 1 (-1); mseq = 17 }, "n1#17") ]
 
+(* The protocol's identity helpers and the schema's must agree on every
+   non-negative id: tables hash alike on both sides, and a rendered id reads
+   the same in a protocol message as in a recorded trace. *)
+let prop_identity_helpers_agree =
+  let gen_pid =
+    QCheck.Gen.(
+      map2 (fun node inc -> Proc_id.make ~node ~inc) (int_bound 4000)
+        (int_bound 300))
+  in
+  QCheck.Test.make ~name:"protocol and schema identity helpers agree"
+    ~count:500
+    QCheck.(
+      make
+        ~print:(fun (a, b, e) ->
+          Printf.sprintf "%s %s epoch=%d" (Proc_id.to_string a)
+            (Proc_id.to_string b) e)
+        Gen.(triple gen_pid gen_pid (int_bound 10_000)))
+    (fun (a, b, epoch) ->
+      let vid = View.Id.make ~epoch ~proposer:a in
+      String.equal (Proc_id.to_string a) (Event.proc_to_string a)
+      && String.equal (View.Id.to_string vid) (Event.vid_to_string vid)
+      && Proc_id.hash a = Event.hash_proc a
+      && Bool.equal (Proc_id.equal a b) (Event.equal_proc a b)
+      && Bool.equal (Proc_id.equal a a) (Event.equal_proc a a)
+      && Int.equal (Proc_id.compare a b) (Event.compare_proc a b)
+      && Int.equal (Proc_id.compare b a) (Event.compare_proc b a))
+
 let test_json_canonical () =
   List.iter
     (fun (txt, expect) ->
@@ -466,7 +495,10 @@ let () =
             test_lineage_conservation_batched;
         ] );
       ( "identities",
-        [ Alcotest.test_case "round-trip" `Quick test_identity_round_trip ] );
+        [
+          Alcotest.test_case "round-trip" `Quick test_identity_round_trip;
+          QCheck_alcotest.to_alcotest prop_identity_helpers_agree;
+        ] );
       ( "json", [ Alcotest.test_case "canonical" `Quick test_json_canonical ] );
       ( "trace-shim", [ Alcotest.test_case "compat" `Quick test_trace_shim ] );
     ]
